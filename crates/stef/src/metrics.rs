@@ -692,10 +692,13 @@ mod imp {
             self.parks.inc();
         }
 
+        /// One claimed chunk; `first` opens a new burst.
         #[inline]
-        pub fn burst(&self, claimed: u64) {
-            self.bursts.inc();
-            self.chunks.add(claimed);
+        pub fn chunk(&self, first: bool) {
+            if first {
+                self.bursts.inc();
+            }
+            self.chunks.inc();
         }
     }
 
@@ -867,7 +870,7 @@ mod imp {
         #[inline]
         pub fn park(&self) {}
         #[inline]
-        pub fn burst(&self, _claimed: u64) {}
+        pub fn chunk(&self, _first: bool) {}
     }
 
     #[derive(Clone, Copy)]

@@ -436,6 +436,10 @@ fn trampoline<F: Fn(usize) + Sync>(ctx: usize, th: usize) {
 /// Claims chunks from the shared cursor and runs them until the job is
 /// drained (or superseded). Returns the number of chunks claimed.
 ///
+/// `tally(first)` runs once per claimed chunk, after the chunk ran and
+/// *before* its `finish_chunk` can release the dispatcher's completion
+/// barrier, so counters read right after a fan-out returns include
+/// every chunk; `first` marks the first chunk of this drain (a burst).
 /// The `notify_done` flag is set for workers (the dispatcher polls the
 /// `completed` counter itself and must not be woken by its own claims).
 #[allow(clippy::too_many_arguments)]
@@ -445,6 +449,7 @@ fn drain_work(
     nthreads: usize,
     chunk: usize,
     run: impl Fn(usize),
+    tally: impl Fn(bool),
     notify_done: bool,
     promote_deadline: bool,
     home: usize,
@@ -506,6 +511,7 @@ fn drain_work(
                     *lock_unpoisoned(&s.panic_msg) = Some(payload_message(payload.as_ref()));
                 }
             }
+            tally(claimed == 0);
             claimed += 1;
             finish_chunk(s, nthreads, hi - lo, notify_done);
         }
@@ -612,20 +618,32 @@ fn worker_loop(shared: &Shared, idx: usize) {
         // hot path (and the zero-alloc invariant) are untouched.
         let tracing = crate::telemetry::trace_enabled();
         let t0 = if tracing { now_ns() } else { 0 };
-        let claimed = drain_work(shared, id, nthreads, chunk, |th| call(ctx, th), true, false, home);
-        if claimed > 0 {
-            stat.busy.fetch_add(1, Ordering::Relaxed);
-            stat.chunks.fetch_add(claimed, Ordering::Relaxed);
-            shared.wmetrics[idx].burst(claimed);
-            if tracing {
-                crate::telemetry::record_span(crate::telemetry::TraceSpan {
-                    tid: idx as u32 + 1,
-                    job: id,
-                    start_ns: t0,
-                    end_ns: now_ns(),
-                    chunks: claimed,
-                });
+        let tally = |first: bool| {
+            if first {
+                stat.busy.fetch_add(1, Ordering::Relaxed);
             }
+            stat.chunks.fetch_add(1, Ordering::Relaxed);
+            shared.wmetrics[idx].chunk(first);
+        };
+        let claimed = drain_work(
+            shared,
+            id,
+            nthreads,
+            chunk,
+            |th| call(ctx, th),
+            tally,
+            true,
+            false,
+            home,
+        );
+        if tracing && claimed > 0 {
+            crate::telemetry::record_span(crate::telemetry::TraceSpan {
+                tid: idx as u32 + 1,
+                job: id,
+                start_ns: t0,
+                end_ns: now_ns(),
+                chunks: claimed,
+            });
         }
     }
 }
@@ -965,8 +983,10 @@ impl WorkerPool {
         // ---- participate ----
         let tracing = crate::telemetry::trace_enabled();
         let t0 = if tracing { now_ns() } else { 0 };
-        let claimed = drain_work(s, id, nthreads, chunk, f, false, true, 0);
-        self.dispatcher_chunks.fetch_add(claimed, Ordering::Relaxed);
+        let tally = |_| {
+            self.dispatcher_chunks.fetch_add(1, Ordering::Relaxed);
+        };
+        let claimed = drain_work(s, id, nthreads, chunk, f, tally, false, true, 0);
         if tracing && claimed > 0 {
             crate::telemetry::record_span(crate::telemetry::TraceSpan {
                 tid: 0,

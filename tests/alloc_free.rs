@@ -3,56 +3,35 @@
 //! stack and every privatized output copy lives in buffers sized during
 //! warm-up and reused across modes and sweeps.
 //!
-//! This harness installs a counting `#[global_allocator]` (each `tests/`
-//! file is its own binary, so the hook is test-local) and asserts that a
-//! steady-state sweep performs **zero** allocator calls. The kernels run
-//! on an explicitly-sized persistent [`stef::WorkerPool`], whose
-//! dispatch path makes no allocator calls (workers are spawned once,
-//! before counting starts; a dispatch is a seqlock publish plus futex
-//! wakeups) — so the zero-count assertion holds for *any* worker count,
-//! unlike the old `std::thread::scope` fan-out which paid a per-spawn
+//! This harness asserts that a steady-state sweep performs **zero**
+//! allocator calls. Counting is scoped per thread (`tests/common`): the
+//! counting `#[global_allocator]` counts only on threads armed for the
+//! measuring test — its own thread and every OS thread of its pool,
+//! armed by one fan-out before the window opens — so the set-up of
+//! tests running concurrently in this binary never lands in the count.
+//! The kernels run on an explicitly-sized persistent
+//! [`stef::WorkerPool`], whose dispatch path makes no allocator calls
+//! (workers are spawned once, before counting starts; a dispatch is a
+//! seqlock publish plus futex wakeups) — so the zero-count assertion,
+//! which covers the workers too, holds for *any* worker count, unlike
+//! the old `std::thread::scope` fan-out which paid a per-spawn
 //! allocation. The workspace's own `alloc_events` counter is asserted
 //! as well, guarding kernel scratch independently of the runtime.
 
+mod common;
+
+use common::AllocScope;
 use linalg::Mat;
 use sptensor::build_csf;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use stef::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
 use stef::{init_factors, LoadBalance, PartialStore, Schedule, Workspace};
 use workloads::power_law_tensor;
 
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-fn alloc_calls() -> u64 {
-    ALLOC_CALLS.load(Ordering::SeqCst)
-}
-
 /// Runs `rounds` full sweeps (mode 0 plus every mode-u × both accum
 /// strategies) against pre-built state and returns the number of
-/// allocator calls they triggered.
+/// allocator calls they triggered on the threads `scope` armed.
 fn count_sweep_allocs(
+    scope: &AllocScope,
     ctx: &KernelCtx<'_>,
     partials: &mut PartialStore,
     rt: &stef::Executor,
@@ -70,7 +49,7 @@ fn count_sweep_allocs(
         }
     }
     let before_events = ws.alloc_events();
-    let before = alloc_calls();
+    let before = scope.calls();
     for _ in 0..rounds {
         mode0_with(ctx, &views, rt, ws, &mut outs[0]);
         for u in 1..d {
@@ -79,7 +58,7 @@ fn count_sweep_allocs(
             }
         }
     }
-    let delta = alloc_calls() - before;
+    let delta = scope.calls() - before;
     assert_eq!(
         ws.alloc_events(),
         before_events,
@@ -108,7 +87,8 @@ fn run_case(dims: &[usize], nnz: usize, rank: usize, nthreads: usize, save: &[bo
     // zero-alloc claim must hold when dispatches actually cross OS
     // threads, not just on the single-worker inline path.
     let rt = stef::Executor::new(stef::Runtime::Pool, nthreads.clamp(1, 4));
-    let delta = count_sweep_allocs(&ctx, &mut partials, &rt, &mut ws, &mut outs, 3);
+    let scope = common::arm(&rt);
+    let delta = count_sweep_allocs(&scope, &ctx, &mut partials, &rt, &mut ws, &mut outs, 3);
     assert_eq!(
         delta, 0,
         "steady-state sweeps allocated {delta} times (dims {dims:?}, \

@@ -4,44 +4,22 @@
 //! oracle to 1e-12 — across every mode, both accumulation strategies,
 //! and ragged (non-power-of-two) ranks. Two deterministic tests follow:
 //! a bitwise-determinism sweep across worker counts, and an alloc-free
-//! assertion on the linearized kernels via a counting global allocator
-//! (each `tests/` file is its own binary, so the hook is test-local).
+//! assertion on the linearized kernels via the thread-scoped counting
+//! allocator of `tests/common`, which counts only on the measuring
+//! test's own thread and its pool's workers.
+
+mod common;
 
 use baselines::Alto as AltoOracle;
 use linalg::{assert_mat_approx_eq, Mat};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use sptensor::{CooTensor, Linearized};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use stef::kernels::ResolvedAccum;
 use stef::kernels_alto::alto_mode_with;
 use stef::{
     AccumStrategy, AltoEngine, Executor, MttkrpEngine, Runtime, Stef, StefOptions, Workspace,
 };
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Strategy: a random small tensor with 3–5 modes.
 fn arb_tensor() -> impl Strategy<Value = CooTensor> {
@@ -148,7 +126,7 @@ fn results_are_bitwise_identical_across_worker_counts() {
     let refs: Vec<&Mat> = factors.iter().collect();
     let max_priv = *t.dims().iter().max().unwrap();
 
-    let mut run = |rt: &Executor, accum: ResolvedAccum| -> Vec<Vec<u64>> {
+    let run = |rt: &Executor, accum: ResolvedAccum| -> Vec<Vec<u64>> {
         let mut ws = Workspace::new(t.dims().len(), rank, nthreads, max_priv);
         (0..t.dims().len())
             .map(|mode| {
@@ -176,7 +154,10 @@ fn results_are_bitwise_identical_across_worker_counts() {
 
 /// Steady-state linearized sweeps make zero allocator calls: the
 /// workspace arenas are warm, the output matrix is caller-owned, and a
-/// pool dispatch is a seqlock publish plus futex wakeups.
+/// pool dispatch is a seqlock publish plus futex wakeups. Only this
+/// test's thread and its pool's workers are armed for counting, so the
+/// concurrently running tests of this binary stay out of the count,
+/// while allocations on the workers are still counted.
 #[test]
 fn warm_linearized_sweeps_are_alloc_free() {
     let t = {
@@ -200,6 +181,7 @@ fn warm_linearized_sweeps_are_alloc_free() {
     let factors = factors_for(t.dims(), rank, 3);
     let refs: Vec<&Mat> = factors.iter().collect();
     let rt = Executor::new(Runtime::Pool, nthreads);
+    let scope = common::arm(&rt);
     let max_priv = *t.dims().iter().max().unwrap();
     let mut ws = Workspace::new(t.dims().len(), rank, nthreads, max_priv);
     let mut outs: Vec<Mat> = t.dims().iter().map(|&n| Mat::zeros(n, rank)).collect();
@@ -208,14 +190,14 @@ fn warm_linearized_sweeps_are_alloc_free() {
         for mode in 0..t.dims().len() {
             alto_mode_with(&lin, &refs, mode, nthreads, accum, &rt, &mut ws, &mut outs[mode]);
         }
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = scope.calls();
         let ws_before = ws.alloc_events();
         for _ in 0..3 {
             for mode in 0..t.dims().len() {
                 alto_mode_with(&lin, &refs, mode, nthreads, accum, &rt, &mut ws, &mut outs[mode]);
             }
         }
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
+        let after = scope.calls();
         assert_eq!(
             after - before,
             0,
