@@ -25,7 +25,7 @@ pub struct AdaTm {
 }
 
 impl AdaTm {
-    /// Builds the engine; `nthreads = 0` means the rayon pool size.
+    /// Builds the engine; `nthreads = 0` means `runtime::default_threads()`.
     pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize) -> Self {
         let mut opts = StefOptions::new(rank);
         opts.num_threads = nthreads;

@@ -26,8 +26,8 @@
 //! measures.
 
 use linalg::Mat;
-use rayon::prelude::*;
 use sptensor::CooTensor;
+use stef::sync::SharedSlice;
 use stef::MttkrpEngine;
 
 /// A word type usable as a linearized index.
@@ -160,10 +160,12 @@ impl<T: LinWord> AltoStore<T> {
         let d = factors.len();
         let nnz = self.vals.len();
         let chunk = nnz.div_ceil(nthreads);
-        let mut locals: Vec<Mat> = (0..nthreads)
-            .into_par_iter()
-            .map(|th| {
-                let mut local = Mat::zeros(n_out, rank);
+        let mut locals: Vec<Mat> = (0..nthreads).map(|_| Mat::zeros(n_out, rank)).collect();
+        {
+            let slots = SharedSlice::new(&mut locals);
+            stef::sync::fanout(nthreads, |th| {
+                // SAFETY: each logical thread owns exactly its own slot.
+                let local = &mut unsafe { slots.range_mut(th, th + 1) }[0];
                 let lo = (th * chunk).min(nnz);
                 let hi = ((th + 1) * chunk).min(nnz);
                 let mut scratch = vec![0.0; rank];
@@ -185,9 +187,8 @@ impl<T: LinWord> AltoStore<T> {
                         *o += s;
                     }
                 }
-                local
-            })
-            .collect();
+            });
+        }
         let mut out = locals.remove(0);
         for l in locals {
             out.add_assign(&l);
@@ -225,7 +226,7 @@ impl Alto {
     pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize) -> Self {
         assert!(coo.nnz() > 0, "empty tensors are not supported");
         let nthreads = if nthreads == 0 {
-            rayon::current_num_threads()
+            stef::runtime::default_threads()
         } else {
             nthreads
         };

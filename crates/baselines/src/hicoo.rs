@@ -17,8 +17,8 @@
 //!   uses per-thread buffers with a block partition, same effect).
 
 use linalg::Mat;
-use rayon::prelude::*;
 use sptensor::CooTensor;
+use stef::sync::SharedSlice;
 use stef::MttkrpEngine;
 
 /// Block edge length per mode (so a block spans `2^BLOCK_BITS` indices).
@@ -55,7 +55,7 @@ impl HiCoo {
     pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize) -> Self {
         assert!(coo.nnz() > 0, "empty tensors are not supported");
         let nthreads = if nthreads == 0 {
-            rayon::current_num_threads()
+            stef::runtime::default_threads()
         } else {
             nthreads
         };
@@ -145,10 +145,12 @@ impl MttkrpEngine for HiCoo {
         let n_out = self.dims[mode];
         let nblocks = self.blocks.len();
         let chunk = nblocks.div_ceil(self.nthreads);
-        let mut locals: Vec<Mat> = (0..self.nthreads)
-            .into_par_iter()
-            .map(|th| {
-                let mut local = Mat::zeros(n_out, r);
+        let mut locals: Vec<Mat> = (0..self.nthreads).map(|_| Mat::zeros(n_out, r)).collect();
+        {
+            let slots = SharedSlice::new(&mut locals);
+            stef::sync::fanout(self.nthreads, |th| {
+                // SAFETY: each logical thread owns exactly its own slot.
+                let local = &mut unsafe { slots.range_mut(th, th + 1) }[0];
                 let lo = (th * chunk).min(nblocks);
                 let hi = ((th + 1) * chunk).min(nblocks);
                 let mut scratch = vec![0.0; r];
@@ -170,9 +172,8 @@ impl MttkrpEngine for HiCoo {
                         }
                     }
                 }
-                local
-            })
-            .collect();
+            });
+        }
         let mut out = locals.remove(0);
         for l in locals {
             out.add_assign(&l);

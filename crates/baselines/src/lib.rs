@@ -41,8 +41,8 @@ pub use tacolike::TacoLike;
 use stef::MttkrpEngine;
 
 /// Instantiates every engine the paper's Figures 3/4 compare, in the
-/// order they appear in the plots. `nthreads = 0` means the rayon pool
-/// size.
+/// order they appear in the plots. `nthreads = 0` means
+/// `stef::runtime::default_threads()`.
 pub fn all_engines(
     coo: &sptensor::CooTensor,
     rank: usize,

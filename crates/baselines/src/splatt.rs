@@ -92,10 +92,10 @@ pub struct Splatt {
 }
 
 impl Splatt {
-    /// Builds the engine; `nthreads = 0` means the rayon pool size.
+    /// Builds the engine; `nthreads = 0` means `runtime::default_threads()`.
     pub fn prepare(coo: &CooTensor, variant: SplattVariant, rank: usize, nthreads: usize) -> Self {
         let nthreads = if nthreads == 0 {
-            rayon::current_num_threads()
+            stef::runtime::default_threads()
         } else {
             nthreads
         };

@@ -14,8 +14,9 @@
 //!
 //! We reproduce that: each mode keeps several candidate schedules with
 //! different task granularities (more logical tasks than physical
-//! threads = finer chunks that rayon's work stealing balances), times
-//! each candidate once on the first calls, then locks in the fastest.
+//! threads = finer chunks that the worker pool's dynamic claiming
+//! balances), times each candidate once on the first calls, then locks
+//! in the fastest.
 
 use linalg::Mat;
 use sptensor::{build_csf, sort_modes_by_length, CooTensor, Csf};
@@ -51,7 +52,7 @@ impl TacoLike {
     /// Builds one representation per mode plus candidate schedules.
     pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize) -> Self {
         let nthreads = if nthreads == 0 {
-            rayon::current_num_threads()
+            stef::runtime::default_threads()
         } else {
             nthreads
         };

@@ -27,7 +27,7 @@ fn bench_memo_crossover(c: &mut Criterion) {
         let t = power_law_tensor(&[500, mid_dim, 100_000], nnz, &[0.4, 0.3, 0.0], 5);
         let csf = build_csf(&t, &[0, 1, 2]);
         let fanout = csf.nnz() as f64 / csf.nfibers(1) as f64;
-        let nthreads = rayon::current_num_threads();
+        let nthreads = stef::runtime::default_threads();
         let sched = Schedule::build(&csf, nthreads, LoadBalance::NnzBalanced);
         let factors = init_factors(t.dims(), rank, 7);
         let refs: Vec<&Mat> = factors.iter().collect();
@@ -67,7 +67,7 @@ fn bench_scheduling_under_starved_root(c: &mut Criterion) {
     let csf = build_csf(&t, &[0, 1, 2]);
     let factors = init_factors(t.dims(), rank, 7);
     let refs: Vec<&Mat> = factors.iter().collect();
-    let nthreads = rayon::current_num_threads().max(2);
+    let nthreads = stef::runtime::default_threads().max(2);
     for (label, kind) in [
         ("nnz_balanced", LoadBalance::NnzBalanced),
         ("slice_based", LoadBalance::SliceBased),

@@ -7,6 +7,8 @@
 //! trajectory file `BENCH_mttkrp.json` at the repo root so the speedup
 //! of the kernel rewrite is recorded alongside the code.
 //!
+//! Both paths fan out on one persistent worker pool sized by
+//! `runtime::resolve_workers(0)` (`pool_workers` in the report).
 //! The legacy baseline is always measured with dispatch forced to
 //! `scalar` — that is bit- and instruction-identical to the pre-rewrite
 //! autovectorized kernels, so speedups stay comparable across the
@@ -29,8 +31,6 @@
 //! * `STEF_BENCH_RANK` — factor rank (default 16)
 //! * `STEF_THREADS`    — logical threads in the schedule (default 8)
 //! * `STEF_REPS`       — timed repetitions, best-of (default 5)
-//! * `STEF_RUNTIME`    — `pool` (persistent worker pool, default) or
-//!   `scoped` (per-dispatch `std::thread::scope`) for the vectorized path
 //! * `STEF_SIMD`       — forces a single dispatch path; the bench then
 //!   records only that variant
 
@@ -77,7 +77,6 @@ struct Report {
     rank: usize,
     threads: usize,
     reps: usize,
-    runtime: String,
     pool_workers: usize,
     simd: String,
     records: Vec<Record>,
@@ -90,7 +89,6 @@ impl_to_json!(Report {
     rank,
     threads,
     reps,
-    runtime,
     pool_workers,
     simd,
     records
@@ -181,10 +179,6 @@ fn main() {
     let rank = env_usize("STEF_BENCH_RANK", 16);
     let nthreads = env_usize("STEF_THREADS", 8);
     let reps = env_usize("STEF_REPS", 5);
-    let runtime = match std::env::var("STEF_RUNTIME").as_deref() {
-        Ok("scoped") => stef::Runtime::Scoped,
-        _ => stef::Runtime::Pool,
-    };
     let dims = [2_000usize, 5_000, 8_000];
 
     // Dispatch variants to measure: scalar (the trajectory baseline)
@@ -216,7 +210,7 @@ fn main() {
     let mut partials_legacy = PartialStore::allocate(&csf, &save, nthreads, rank);
     let max_dim = *csf.level_dims().iter().max().unwrap();
     let ws = std::cell::RefCell::new(Workspace::new(d, rank, nthreads, max_dim));
-    let rt = stef::Executor::new(runtime, stef::runtime::resolve_workers(0));
+    let rt = stef::Executor::new(stef::runtime::resolve_workers(0));
 
     // Counted kernel traffic per mode (elements), for the effective
     // bandwidth column. Accumulation strategy does not enter the count.
@@ -224,10 +218,9 @@ fn main() {
 
     eprintln!(
         "mttkrp A/B: dims {dims:?}, {} nnz, rank {rank}, {nthreads} logical threads, \
-         {:?} runtime ({} workers), best of {reps}, simd variants {:?} \
+         {} pool workers, best of {reps}, simd variants {:?} \
          (legacy = pre-rewrite recursive kernels, scalar dispatch)",
         t.nnz(),
-        rt.kind(),
         rt.workers(),
         variants.iter().map(|v| v.as_str()).collect::<Vec<_>>(),
     );
@@ -250,10 +243,10 @@ fn main() {
             .collect();
         let mut lanes: Vec<Box<dyn FnMut()>> = Vec::new();
         {
-            let (ctx, pl, out_l) = (&ctx, &mut partials_legacy, &mut out_l);
+            let (ctx, pl, rt, out_l) = (&ctx, &mut partials_legacy, &rt, &mut out_l);
             lanes.push(Box::new(move || {
                 simd::apply(SimdPolicy::Force(SimdPath::Scalar));
-                kernels_legacy::mode0_pass(ctx, pl, out_l);
+                kernels_legacy::mode0_pass(ctx, pl, rt, out_l);
             }));
         }
         for (out, &path) in outs.iter_mut().zip(&variants) {
@@ -291,10 +284,12 @@ fn main() {
                 .collect();
             let mut lanes: Vec<Box<dyn FnMut()>> = Vec::new();
             {
-                let (ctx, pl) = (&ctx, &mut partials_legacy);
+                let (ctx, pl, rt) = (&ctx, &mut partials_legacy, &rt);
                 lanes.push(Box::new(move || {
                     simd::apply(SimdPolicy::Force(SimdPath::Scalar));
-                    std::hint::black_box(kernels_legacy::modeu_pass(ctx, pl, u, accum, use_saved));
+                    std::hint::black_box(kernels_legacy::modeu_pass(
+                        ctx, pl, u, accum, use_saved, rt,
+                    ));
                 }));
             }
             for (out, &path) in outs.iter_mut().zip(&variants) {
@@ -355,7 +350,6 @@ fn main() {
         rank,
         threads: nthreads,
         reps,
-        runtime: format!("{:?}", rt.kind()).to_lowercase(),
         pool_workers: rt.workers(),
         simd: detected.as_str().into(),
         records,

@@ -1,27 +1,40 @@
 //! Runtime micro-benchmark: dispatch latency and load-imbalance
-//! behavior of the persistent worker pool against the scoped-spawn
-//! fallback it replaced.
+//! behavior of the persistent worker pool against per-call scoped
+//! spawning (the execution model the pool replaced, kept here as a
+//! bench-local baseline).
 //!
 //! Two experiments, both on an explicitly 8-worker pool so the numbers
 //! are comparable across machines:
 //!
 //! 1. **Dispatch latency** — a trivial fan-out body, `nthreads`
 //!    1..=16: measures pure runtime overhead (publish + wake + claim +
-//!    join for the pool; thread spawn + join for the scoped fallback).
+//!    join for the pool; thread spawn + join for the scoped baseline).
 //! 2. **Imbalance** — 64 logical tasks with deliberately uneven spin
 //!    work: the pool's dynamic chunk claiming should absorb the skew
-//!    that the scoped fallback's static contiguous blocks cannot.
+//!    that the scoped baseline's static contiguous blocks cannot.
 //!
 //! Writes the tracked trajectory file `BENCH_runtime.json` at the repo
 //! root. Knobs: `STEF_REPS` (timed repetitions per configuration,
 //! median-of, default 300).
 
 use std::time::Instant;
-use stef::runtime::scoped_fanout;
-use stef::{Executor, Runtime};
+use stef::Executor;
 use stef_bench::{impl_to_json, write_json_at, Table};
 
 const WORKERS: usize = 8;
+
+/// The baseline: fresh scoped OS threads per call, one static
+/// contiguous block of logical threads per worker.
+fn scoped_fanout<F: Fn(usize) + Sync>(workers: usize, nthreads: usize, f: &F) {
+    let workers = workers.clamp(1, nthreads.max(1));
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let (lo, hi) = (w * nthreads / workers, (w + 1) * nthreads / workers);
+            scope.spawn(move || (lo..hi).for_each(f));
+        }
+        (0..nthreads / workers).for_each(f);
+    });
+}
 
 struct LatencyRecord {
     nthreads: usize,
@@ -113,7 +126,7 @@ fn spin_work(units: usize) -> u64 {
 
 fn main() {
     let reps = env_usize("STEF_REPS", 300);
-    let pool = Executor::new(Runtime::Pool, WORKERS);
+    let pool = Executor::new(WORKERS);
 
     eprintln!(
         "runtime dispatch bench: {WORKERS} workers, median of {reps} \

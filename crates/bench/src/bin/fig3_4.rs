@@ -29,8 +29,8 @@ stef_bench::impl_to_json!(FigRow { tensor, rank, seconds, relative });
 fn main() {
     let config = BenchConfig::from_env();
     println!(
-        "Figures 3/4 analogue on this host ({} rayon threads, scale {:?}, {} reps)\n",
-        rayon::current_num_threads(),
+        "Figures 3/4 analogue on this host ({} threads, scale {:?}, {} reps)\n",
+        stef::runtime::default_threads(),
         config.scale,
         config.reps
     );

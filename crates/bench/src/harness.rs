@@ -10,7 +10,7 @@ pub struct BenchConfig {
     pub scale: SuiteScale,
     /// Timed repetitions per measurement.
     pub reps: usize,
-    /// Logical thread count handed to engines (0 = rayon pool size).
+    /// Logical thread count handed to engines (0 = `default_threads()`).
     pub nthreads: usize,
 }
 

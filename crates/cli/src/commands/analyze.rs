@@ -102,8 +102,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
     let rc = engine.runtime_counters();
     println!(
-        "\nruntime ({:?} executor, {} workers) after one warm sweep:",
-        engine.executor().kind(),
+        "\nruntime ({} pool workers) after one warm sweep:",
         rc.workers
     );
     println!("  simd kernels: {}", linalg::simd::describe());
@@ -118,7 +117,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     );
     let placement = engine.executor().placement();
     if placement.is_empty() {
-        println!("  numa placement: none (serial or scoped executor)");
+        println!("  numa placement: none (serial pool)");
     } else {
         let pinned = placement.iter().filter(|p| p.pinned).count();
         let mut per_node = vec![0usize; topo.num_nodes().max(1)];

@@ -31,8 +31,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use stef::{
     parse_fault_directives, parse_job_line, scan_journal, AccumStrategy, CancelToken,
-    EngineFactory, Fault, FaultyEngine, JobAttempt, JobSpec, JobStatus, JournalRecord, Runtime,
-    StefError, Supervisor, SupervisorConfig, TensorLoader,
+    EngineFactory, Fault, FaultyEngine, JobAttempt, JobSpec, JobStatus, JournalRecord, StefError,
+    Supervisor, SupervisorConfig, TensorLoader,
 };
 use workloads::SuiteScale;
 
@@ -185,7 +185,6 @@ pub(crate) fn cli_factory(threads: usize, faults: HashMap<usize, Vec<Fault>>) ->
             rank: spec.rank,
             threads,
             accum: AccumStrategy::Auto,
-            runtime: Runtime::Pool,
             memory_budget: 0,
             cancel: Some(token.clone()),
             simd: stef::SimdPolicy::Auto,
@@ -202,7 +201,7 @@ pub(crate) fn cli_factory(threads: usize, faults: HashMap<usize, Vec<Fault>>) ->
             .any(|f| matches!(f, Fault::WorkerPanicOnce { .. }));
         let mut faulty = FaultyEngine::new(engine, injected).with_cancel(token.clone());
         if needs_exec {
-            faulty = faulty.with_executor(stef::Executor::new(Runtime::Scoped, 1));
+            faulty = faulty.with_executor(stef::Executor::new(1));
         }
         Ok(Box::new(faulty))
     })

@@ -36,9 +36,9 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 
     let (label, t) = load(tensor_spec, SuiteScale::Small).map_err(CliError::Input)?;
     println!(
-        "benchmarking {label}: {} nnz, rank {rank}, {reps} reps, {} rayon threads",
+        "benchmarking {label}: {} nnz, rank {rank}, {reps} reps, {} threads",
         t.nnz(),
-        rayon::current_num_threads()
+        stef::runtime::default_threads()
     );
     println!("simd kernels: {}\n", linalg::simd::describe());
 

@@ -5,9 +5,7 @@
 //! loadable from numpy/Julia/R.
 
 use crate::args::{parse, FlagSpec};
-use crate::commands::{
-    accum_by_name, apply_simd_flag, engine_by_name, numa_by_name, runtime_by_name, EngineConfig,
-};
+use crate::commands::{accum_by_name, apply_simd_flag, engine_by_name, numa_by_name, EngineConfig};
 use crate::error::CliError;
 use crate::tensor_source::load;
 use linalg::Mat;
@@ -33,7 +31,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         ("--seed", "seed"),
         ("--mode", "mode"),
         ("--accum", "accum"),
-        ("--runtime", "runtime"),
         ("--simd", "simd"),
         ("--numa", "numa"),
         ("--checkpoint", "checkpoint"),
@@ -64,7 +61,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     let engine_name = p.str_or("engine", "stef");
     let update_mode = p.str_or("mode", "als");
     let accum = accum_by_name(p.str_or("accum", "auto")).map_err(CliError::Usage)?;
-    let runtime = runtime_by_name(p.str_or("runtime", "pool")).map_err(CliError::Usage)?;
     let simd = apply_simd_flag(p.str_or("simd", "auto")).map_err(CliError::Usage)?;
     // No flag → honor STEF_NUMA (defaults to auto).
     let numa = match p.opt_str("numa") {
@@ -131,7 +127,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         rank,
         threads,
         accum,
-        runtime,
         memory_budget,
         cancel: Some(token.clone()),
         simd,

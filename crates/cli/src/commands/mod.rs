@@ -11,7 +11,7 @@ pub mod top;
 pub mod validate;
 
 use crate::error::CliError;
-use stef::{AccumStrategy, CancelToken, EngineChoice, MttkrpEngine, NumaPolicy, Runtime, SimdPolicy};
+use stef::{AccumStrategy, CancelToken, EngineChoice, MttkrpEngine, NumaPolicy, SimdPolicy};
 
 /// Parses a `--simd` value and applies it process-wide (all engines in
 /// the process share the kernel dispatch selection). A forced path that
@@ -37,15 +37,6 @@ pub fn accum_by_name(name: &str) -> Result<AccumStrategy, String> {
     }
 }
 
-/// Parses a `--runtime` value. Errors are usage errors (exit code 2).
-pub fn runtime_by_name(name: &str) -> Result<Runtime, String> {
-    match name {
-        "pool" => Ok(Runtime::Pool),
-        "scoped" => Ok(Runtime::Scoped),
-        other => Err(format!("unknown --runtime '{other}' (pool|scoped)")),
-    }
-}
-
 /// Parses a `--numa` value. Errors are usage errors (exit code 2).
 pub fn numa_by_name(name: &str) -> Result<NumaPolicy, String> {
     NumaPolicy::parse(name).ok_or_else(|| format!("unknown --numa '{name}' (auto|off)"))
@@ -58,7 +49,6 @@ pub struct EngineConfig {
     pub rank: usize,
     pub threads: usize,
     pub accum: AccumStrategy,
-    pub runtime: Runtime,
     /// Soft memory budget in bytes for workspace + memoized partials
     /// (0 = unlimited). The engine degrades its plan to fit; only an
     /// infeasible minimal plan is an error.
@@ -80,7 +70,6 @@ impl EngineConfig {
             rank,
             threads,
             accum: AccumStrategy::Auto,
-            runtime: Runtime::Pool,
             memory_budget: 0,
             cancel: None,
             simd: SimdPolicy::Auto,
@@ -100,7 +89,6 @@ pub fn engine_by_name(
     let mut opts = stef::StefOptions::new(rank);
     opts.num_threads = threads;
     opts.accum = cfg.accum;
-    opts.runtime = cfg.runtime;
     opts.memory_budget = cfg.memory_budget;
     opts.cancel = cfg.cancel.clone();
     opts.simd = cfg.simd;
@@ -195,13 +183,6 @@ mod tests {
             Ok(_) => panic!("one-byte budget must be rejected"),
         };
         assert_eq!(err.exit_code(), 3, "{err}");
-    }
-
-    #[test]
-    fn runtime_names_parse() {
-        assert_eq!(runtime_by_name("pool").unwrap(), Runtime::Pool);
-        assert_eq!(runtime_by_name("scoped").unwrap(), Runtime::Scoped);
-        assert!(runtime_by_name("magic").is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `stef::validate::validate_engine`).
 
 use crate::args::{parse, FlagSpec};
-use crate::commands::{accum_by_name, engine_by_name, runtime_by_name, EngineConfig};
+use crate::commands::{accum_by_name, engine_by_name, EngineConfig};
 use crate::error::CliError;
 use crate::tensor_source::load;
 use std::time::Duration;
@@ -18,7 +18,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         ("--threads", "threads"),
         ("--tol", "tol"),
         ("--accum", "accum"),
-        ("--runtime", "runtime"),
         ("--timeout", "timeout"),
     ]);
     let p = parse(argv, &spec)?;
@@ -40,7 +39,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     }
     println!("validating engine '{engine_name}' on {label} at rank {rank} (tol {tol:e})…");
     let accum = accum_by_name(p.str_or("accum", "auto")).map_err(CliError::Usage)?;
-    let runtime = runtime_by_name(p.str_or("runtime", "pool")).map_err(CliError::Usage)?;
 
     let token = CancelToken::new();
     if timeout > 0.0 {
@@ -50,7 +48,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 
     let mut cfg = EngineConfig::new(rank, threads);
     cfg.accum = accum;
-    cfg.runtime = runtime;
     cfg.cancel = Some(token.clone());
     let mut engine = engine_by_name(engine_name, &t, &cfg)?;
     if token.expired() {

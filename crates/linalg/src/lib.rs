@@ -13,7 +13,8 @@
 //! This crate implements all of those from scratch on a single row-major
 //! [`Mat`] type. Everything is `f64`; matrices in CP-ALS are tall-skinny
 //! (`N × R` with `R ∈ {8..128}`) or tiny (`R × R`), so a cache-friendly
-//! row-major layout with rayon-parallel row loops is all that is needed.
+//! row-major layout with row loops fanned out through [`par`] is all that
+//! is needed.
 //!
 //! The solve path ([`solve::solve_gram_system`]) mirrors what SPLATT and
 //! AdaTM do in practice: Cholesky on the symmetric positive semi-definite

@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn gram_large_matches_naive() {
-        // Cross the parallel threshold to exercise the rayon path.
+        // Cross the parallel threshold to exercise the fan-out path.
         let a = Mat::from_fn(4096, 4, |i, j| ((i * 7 + j * 13) % 17) as f64 * 0.25 - 1.0);
         assert_mat_approx_eq(&gram_full(&a), &naive_gram(&a), 1e-9);
     }

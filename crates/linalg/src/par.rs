@@ -1,14 +1,20 @@
 //! Pluggable parallel fan-out for the dense-algebra hot spots.
 //!
-//! `gram` and `matmul` (and `sptensor`'s swap-count pass) want the same
-//! execution primitive as the sparse kernels: "run `f(i)` once for each
-//! task `0..tasks`, then join". The persistent worker-pool runtime that
-//! provides this lives in `stef-core`, which *depends on* this crate —
-//! so the pool cannot be named here. Instead this module holds a plain
-//! function-pointer hook: `stef-core`'s runtime installs a bridge at
-//! first use ([`install_fanout`]), routing every dense fan-out through
-//! the shared pool; until then (or in builds that never touch
-//! `stef-core`) a scoped-thread fallback with the same semantics runs.
+//! `gram`, `matmul`, the normal-equations solve (and `sptensor`'s
+//! swap-count pass) want the same execution primitive as the sparse
+//! kernels: "run `f(i)` once for each task `0..tasks`, then join". The
+//! persistent worker-pool runtime that provides this lives in
+//! `stef-core`, which *depends on* this crate — so the pool cannot be
+//! named here. Instead this module holds a plain function-pointer hook
+//! ([`install_fanout`]). `stef-core` installs a bridge to its global
+//! pool the first time `runtime::global()` is called (the `sync::fanout`
+//! free function, the kernel convenience wrappers, the CLI's cancel
+//! hook); from then on every dense fan-out runs on that pool. Building
+//! an engine and running `cpd_als` does not call it, so in such a
+//! process — and in builds that never touch `stef-core` — a
+//! scoped-thread fallback with the same semantics runs at hardware
+//! width, outside `STEF_NUM_THREADS` and the pool's cancel token and
+//! counters.
 //!
 //! The hook is deliberately a `fn`, not a boxed closure: installing it
 //! is a single atomic store, reading it is a single atomic load, and
@@ -82,11 +88,10 @@ pub fn fanout(tasks: usize, f: &(dyn Fn(usize) + Sync)) {
 }
 
 /// A flat buffer whose disjoint index ranges may be written concurrently
-/// by multiple fan-out tasks. Mirrors `stef-core`'s `sync::SharedSlice`
-/// (which sits above this crate and cannot be used here): Rust's `&mut`
-/// aliasing rules cannot express "each task owns a dynamic disjoint
-/// range", so the range accessors are `unsafe` with a documented
-/// single-writer contract at every call site.
+/// by multiple fan-out tasks (re-exported as `stef-core`'s
+/// `sync::SharedSlice`). Rust's `&mut` aliasing rules cannot express
+/// "each task owns a dynamic disjoint range", so the range accessors are
+/// `unsafe` with a documented single-writer contract at every call site.
 pub struct SharedSlice<'a, T> {
     data: &'a [UnsafeCell<T>],
 }
@@ -133,6 +138,18 @@ impl<'a, T> SharedSlice<'a, T> {
         // SAFETY: in-bounds by the assert; exclusivity is the caller's
         // contract.
         unsafe { std::slice::from_raw_parts_mut(self.data[lo].get(), hi - lo) }
+    }
+
+    /// Returns a read-only view of elements `lo..hi`.
+    ///
+    /// # Safety
+    /// No task may be writing any element of `lo..hi` concurrently.
+    #[inline]
+    pub unsafe fn range(&self, lo: usize, hi: usize) -> &[T] {
+        debug_assert!(lo <= hi && hi <= self.data.len());
+        // SAFETY: in-bounds by the assert; the absence of concurrent
+        // writers is the caller's contract.
+        unsafe { std::slice::from_raw_parts(self.data[lo].get(), hi - lo) }
     }
 }
 

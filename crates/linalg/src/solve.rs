@@ -13,8 +13,7 @@
 //! Solving is then `R` triangular substitutions applied row-by-row to the
 //! (possibly huge) right-hand-side matrix, parallelized over its rows.
 
-use crate::Mat;
-use rayon::prelude::*;
+use crate::{par, Mat};
 
 /// Which factorization ended up being used by [`solve_gram_system`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,16 +283,25 @@ fn finish_solve(method: SolveMethod, b: &Mat) -> Result<SolveMethod, SolveError>
 }
 
 fn apply_cholesky(l: &Mat, b: &mut Mat) {
-    let r = b.cols();
-    if b.rows() >= 1024 {
-        b.as_mut_slice()
-            .par_chunks_mut(r)
-            .for_each(|row| solve_row_cholesky(l, row));
-    } else {
-        for row in b.as_mut_slice().chunks_exact_mut(r.max(1)) {
+    let (rows, r) = (b.rows(), b.cols());
+    let solve_rows = |block: &mut [f64]| {
+        for row in block.chunks_exact_mut(r.max(1)) {
             solve_row_cholesky(l, row);
         }
+    };
+    if rows < 1024 || r == 0 {
+        solve_rows(b.as_mut_slice());
+        return;
     }
+    // One contiguous row block per hardware worker. Every row is solved
+    // on its own, so the blocking never changes a bit of the result.
+    let nblocks = par::workers().min(rows);
+    let shared = par::SharedSlice::new(b.as_mut_slice());
+    par::fanout(nblocks, &|bi| {
+        let (lo, hi) = (bi * rows / nblocks, (bi + 1) * rows / nblocks);
+        // SAFETY: each task owns the disjoint whole rows `lo..hi`.
+        solve_rows(unsafe { shared.range_mut(lo * r, hi * r) });
+    });
 }
 
 #[cfg(test)]
@@ -365,11 +373,23 @@ mod tests {
 
     #[test]
     fn solve_large_rhs_parallel_path() {
-        let v = spd(3, 99);
-        let x_true = Mat::from_fn(5000, 3, |i, j| ((i + j) % 13) as f64 * 0.1);
-        let mut b = matmul(&x_true, &v);
-        solve_gram_system(&v, &mut b);
-        assert_mat_approx_eq(&b, &x_true, 1e-7);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Above the parallel threshold, a ragged row count, and R = 1.
+        for (rows, r) in [(5000usize, 3usize), (4099, 3), (5000, 1)] {
+            let v = spd(r, 99);
+            let x_true = Mat::from_fn(rows, r, |i, j| ((i + j) % 13) as f64 * 0.1);
+            let mut b = matmul(&x_true, &v);
+            // The serial path: the same rows solved in blocks below 1024.
+            let mut serial = b.as_slice().to_vec();
+            for block in serial.chunks_mut(1000 * r) {
+                let mut m = Mat::from_vec(block.len() / r, r, block.to_vec());
+                solve_gram_system(&v, &mut m);
+                block.copy_from_slice(m.as_slice());
+            }
+            solve_gram_system(&v, &mut b);
+            assert_mat_approx_eq(&b, &x_true, 1e-7);
+            assert_eq!(bits(b.as_slice()), bits(&serial), "{rows} x {r}");
+        }
     }
 
     #[test]

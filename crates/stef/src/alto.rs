@@ -176,7 +176,7 @@ impl AltoEngine {
                 budget: opts.memory_budget,
             }
         })?;
-        let exec = Executor::with_numa(opts.runtime, opts.workers(), opts.numa);
+        let exec = Executor::with_numa(opts.workers(), opts.numa);
         if opts.cancel.is_some() {
             exec.set_cancel(opts.cancel.clone());
         }

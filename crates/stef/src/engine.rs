@@ -212,8 +212,7 @@ pub struct Stef {
     ws: Workspace,
     /// Execution substrate, built once at preparation: a persistent
     /// worker pool sized from `StefOptions::num_threads` (workers are
-    /// created here and parked between dispatches), or the scoped-spawn
-    /// fallback when `StefOptions::runtime` asks for it.
+    /// created here and parked between dispatches).
     exec: Executor,
     /// Plan relaxations applied at preparation to fit
     /// `StefOptions::memory_budget` (empty when unconstrained).
@@ -462,7 +461,7 @@ impl Stef {
                 budget: opts.memory_budget,
             }
         })?;
-        let exec = Executor::with_numa(opts.runtime, opts.workers(), opts.numa);
+        let exec = Executor::with_numa(opts.workers(), opts.numa);
         if opts.cancel.is_some() {
             exec.set_cancel(opts.cancel.clone());
         }
@@ -541,13 +540,13 @@ impl Stef {
     }
 
     /// The engine's execution substrate (per-engine, honoring
-    /// `StefOptions::num_threads` and `StefOptions::runtime`).
+    /// `StefOptions::num_threads`).
     pub fn executor(&self) -> &Executor {
         &self.exec
     }
 
     /// Pool counters (dispatches, per-worker busy/steal/park) for the
-    /// engine's executor; all-zero under the scoped fallback.
+    /// engine's executor.
     pub fn runtime_counters(&self) -> RuntimeCounters {
         self.exec.counters()
     }
@@ -565,7 +564,7 @@ impl Stef {
                     mode0_with(&ctx, &views, &self.exec, &mut self.ws, &mut out);
                 }
                 KernelPath::Legacy => {
-                    kernels_legacy::mode0_pass(&ctx, &mut self.partials, &mut out);
+                    kernels_legacy::mode0_pass(&ctx, &mut self.partials, &self.exec, &mut out);
                 }
             }
             self.partials_fresh = true;
@@ -600,9 +599,14 @@ impl Stef {
                 );
                 out
             }
-            KernelPath::Legacy => {
-                kernels_legacy::modeu_pass(&ctx, &mut self.partials, level, accum, use_saved)
-            }
+            KernelPath::Legacy => kernels_legacy::modeu_pass(
+                &ctx,
+                &mut self.partials,
+                level,
+                accum,
+                use_saved,
+                &self.exec,
+            ),
         };
         if crate::telemetry::COMPILED {
             self.record_mode_stats(level, saved_at);

@@ -1286,12 +1286,14 @@ mod tests {
             let mut out_new = Mat::zeros(dims[0], rank);
             let mut out_old = Mat::zeros(dims[0], rank);
             mode0_pass(&ctx, &mut p_new, &mut out_new);
-            crate::kernels_legacy::mode0_pass(&ctx, &mut p_old, &mut out_old);
+            let rt = crate::runtime::global();
+            crate::kernels_legacy::mode0_pass(&ctx, &mut p_old, rt, &mut out_old);
             assert_mat_approx_eq(&out_new, &out_old, tol);
             for u in 1..dims.len() {
                 for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
                     let a = modeu_pass(&ctx, &mut p_new, u, accum, true);
-                    let b = crate::kernels_legacy::modeu_pass(&ctx, &mut p_old, u, accum, true);
+                    let b =
+                        crate::kernels_legacy::modeu_pass(&ctx, &mut p_old, u, accum, true, rt);
                     assert_mat_approx_eq(&a, &b, tol);
                 }
             }
@@ -1315,7 +1317,7 @@ mod tests {
         let ctx = KernelCtx::new(&csf, &sched, refs, rank);
         let max_n = *csf.level_dims().iter().max().unwrap();
         let mut ws = Workspace::new(4, rank, nthreads, max_n);
-        let rt = crate::runtime::Executor::new(crate::runtime::Runtime::Pool, 2);
+        let rt = crate::runtime::Executor::new(2);
         let mut out0 = Mat::zeros(csf.level_dims()[0], rank);
         for _round in 0..3 {
             let views = partials.shared_views();

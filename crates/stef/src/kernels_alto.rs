@@ -424,7 +424,7 @@ fn alto_thread_body<K: RowKernels, DL: Delin, W: LinIndex, E: Emitter>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{Executor, Runtime};
+    use crate::runtime::Executor;
     use linalg::assert_mat_approx_eq;
     use sptensor::CooTensor;
 
@@ -469,7 +469,7 @@ mod tests {
         let refs: Vec<&Mat> = factors.iter().collect();
         let d = dims.len();
         let mut ws = Workspace::new(d, rank, nthreads, *dims.iter().max().unwrap());
-        let rt = Executor::new(Runtime::Pool, 2);
+        let rt = Executor::new(2);
         for mode in 0..d {
             let expect = t.mttkrp_reference(&factors, mode);
             for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
@@ -504,7 +504,7 @@ mod tests {
         let factors = rand_factors(&dims, 4, 6);
         let refs: Vec<&Mat> = factors.iter().collect();
         let mut ws = Workspace::new(3, 4, 3, 10);
-        let rt = Executor::new(Runtime::Pool, 1);
+        let rt = Executor::new(1);
         for mode in 0..3 {
             for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
                 let mut out = Mat::zeros(dims[mode], 4);
@@ -525,7 +525,7 @@ mod tests {
         let factors = rand_factors(&dims, 3, 18);
         let refs: Vec<&Mat> = factors.iter().collect();
         let mut ws = Workspace::new(5, 3, 4, 8192);
-        let rt = Executor::new(Runtime::Pool, 2);
+        let rt = Executor::new(2);
         for mode in 0..5 {
             let expect = t.mttkrp_reference(&factors, mode);
             for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
@@ -546,7 +546,7 @@ mod tests {
         let nthreads = 6;
         let mut reference: Option<Vec<Mat>> = None;
         for workers in [1usize, 2, 4, 8] {
-            let rt = Executor::new(Runtime::Pool, workers);
+            let rt = Executor::new(workers);
             let mut ws = Workspace::new(3, 5, nthreads, 40);
             let outs: Vec<Mat> = (0..3)
                 .map(|mode| {
@@ -591,7 +591,7 @@ mod tests {
         let nthreads = 4;
         let max_n = *dims.iter().max().unwrap();
         let mut ws = Workspace::new(4, 6, nthreads, max_n);
-        let rt = Executor::new(Runtime::Pool, 2);
+        let rt = Executor::new(2);
         for _round in 0..3 {
             for mode in 0..4 {
                 let mut out = Mat::zeros(dims[mode], 6);

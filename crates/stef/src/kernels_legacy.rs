@@ -15,19 +15,25 @@
 //!    to 1e-12 against the paper transcriptions.
 //!
 //! Do not optimize this file; its value is being exactly what shipped
-//! before the kernel rewrite.
+//! before the kernel rewrite. Its fan-outs run on the engine's
+//! [`Executor`], one task per logical thread.
 
 use crate::kernels::{KernelCtx, ResolvedAccum};
 use crate::partials::PartialStore;
-use crate::sync::SharedRows;
+use crate::runtime::Executor;
+use crate::sync::{SharedRows, SharedSlice};
 use linalg::krp::{axpy_row, hadamard_row, krp_row};
 use linalg::Mat;
-use rayon::prelude::*;
 use sptensor::Csf;
 
 /// Computes `Ā⁽⁰⁾` and stores all partials flagged in `partials`
 /// (original implementation).
-pub fn mode0_pass(ctx: &KernelCtx<'_>, partials: &mut PartialStore, out: &mut Mat) {
+pub fn mode0_pass(
+    ctx: &KernelCtx<'_>,
+    partials: &mut PartialStore,
+    exec: &Executor,
+    out: &mut Mat,
+) {
     let d = ctx.csf.ndim();
     let r = ctx.rank;
     assert_eq!(out.rows(), ctx.csf.level_dims()[0]);
@@ -39,7 +45,7 @@ pub fn mode0_pass(ctx: &KernelCtx<'_>, partials: &mut PartialStore, out: &mut Ma
     let out_shared = SharedRows::new(out.as_mut_slice(), r);
     let nthreads = ctx.sched.nthreads();
 
-    (0..nthreads).into_par_iter().for_each(|th| {
+    exec.fanout(nthreads, |th| {
         let mut scratch: Vec<Vec<f64>> = (0..d).map(|_| vec![0.0; r]).collect();
         let (rlo, rhi) = ctx.sched.root_range(th);
         for idx0 in rlo..rhi {
@@ -113,6 +119,7 @@ pub fn modeu_pass(
     u: usize,
     accum: ResolvedAccum,
     use_saved: bool,
+    exec: &Executor,
 ) -> Mat {
     let d = ctx.csf.ndim();
     assert!(u >= 1 && u < d, "mode0_pass handles the root level");
@@ -129,16 +136,17 @@ pub fn modeu_pass(
 
     match accum {
         ResolvedAccum::Privatized => {
-            let mut locals: Vec<Mat> = (0..nthreads)
-                .into_par_iter()
-                .map(|th| {
-                    let mut local = Mat::zeros(n_u, r);
+            let mut locals: Vec<Mat> = (0..nthreads).map(|_| Mat::zeros(n_u, r)).collect();
+            {
+                let slots = SharedSlice::new(&mut locals);
+                exec.fanout(nthreads, |th| {
+                    // SAFETY: each logical thread owns exactly its own slot.
+                    let local = &mut unsafe { slots.range_mut(th, th + 1) }[0];
                     run_thread(ctx, th, u, &saved, &views, &mut |fid, row| {
                         hadd(local.row_mut(fid), row);
                     });
-                    local
-                })
-                .collect();
+                });
+            }
             // Reduce in thread order for determinism.
             let mut out = locals.remove(0);
             for l in locals {
@@ -150,7 +158,7 @@ pub fn modeu_pass(
             let mut out = Mat::zeros(n_u, r);
             {
                 let shared = SharedRows::new(out.as_mut_slice(), r);
-                (0..nthreads).into_par_iter().for_each(|th| {
+                exec.fanout(nthreads, |th| {
                     run_thread(ctx, th, u, &saved, &views, &mut |fid, row| {
                         shared.atomic_add_row(fid, row);
                     });

@@ -86,8 +86,8 @@ pub use options::{
 };
 pub use partials::PartialStore;
 pub use runtime::{
-    set_global_cancel, CancelToken, Executor, FanoutError, Runtime, RuntimeCounters,
-    WorkerCounters, WorkerPlacement, WorkerPool,
+    set_global_cancel, CancelToken, Executor, FanoutError, RuntimeCounters, WorkerCounters,
+    WorkerPlacement, WorkerPool,
 };
 pub use schedule::Schedule;
 pub use serve::{outcome_hook, ServeConfig, ServeHandle, Server};

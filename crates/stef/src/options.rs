@@ -3,11 +3,8 @@
 //! The defaults reproduce the paper's STeF: nnz-balanced scheduling,
 //! model-chosen memoization, model-chosen last-two-mode switching. Every
 //! knob exists because the paper's ablation study (Fig. 6) turns exactly
-//! that optimization off — plus the [`Runtime`] knob, which selects the
-//! execution substrate (persistent pool vs scoped spawn) for A/B
-//! benchmarking of the runtime layer itself.
+//! that optimization off.
 
-pub use crate::runtime::Runtime;
 pub use linalg::simd::{SimdPath, SimdPolicy};
 
 /// How non-zeros are distributed across logical threads.
@@ -126,9 +123,7 @@ pub struct StefOptions {
     /// Decomposition rank `R`.
     pub rank: usize,
     /// Logical thread count; 0 means "resolve a default": the
-    /// `STEF_NUM_THREADS` env var if set, else `RAYON_NUM_THREADS`
-    /// (kept from the rayon-backed substrate so existing caps still
-    /// apply), else all hardware threads.
+    /// `STEF_NUM_THREADS` env var if set, else all hardware threads.
     pub num_threads: usize,
     /// Cache size parameter of the data-movement model, in bytes
     /// (paper §IV-C `cachesize`). Defaults to 16 MiB, a typical L3 share.
@@ -146,10 +141,6 @@ pub struct StefOptions {
     pub privatize_cap_bytes: usize,
     /// Kernel implementation to run.
     pub kernel_path: KernelPath,
-    /// Execution substrate for the parallel fan-outs: the persistent
-    /// worker pool (default) or per-call scoped spawning (the A/B
-    /// baseline).
-    pub runtime: Runtime,
     /// Memory budget (bytes) for the engine's own arenas — memoized
     /// partials `P^(i)`, workspace scratch, privatized outputs. 0 means
     /// unlimited. When a configuration does not fit, the engine
@@ -218,7 +209,6 @@ impl StefOptions {
             accum: AccumStrategy::Auto,
             privatize_cap_bytes: 512 << 20,
             kernel_path: KernelPath::Vectorized,
-            runtime: Runtime::default(),
             memory_budget: 0,
             cancel: None,
             simd: linalg::simd::SimdPolicy::Auto,
@@ -228,8 +218,8 @@ impl StefOptions {
     }
 
     /// Resolved logical thread count: `num_threads`, or — when 0 — the
-    /// `STEF_NUM_THREADS`/`RAYON_NUM_THREADS` env override, falling
-    /// back to all hardware workers (`runtime::default_threads`).
+    /// `STEF_NUM_THREADS` env override, falling back to all hardware
+    /// workers (`runtime::default_threads`).
     pub fn threads(&self) -> usize {
         if self.num_threads == 0 {
             crate::runtime::default_threads()

@@ -39,16 +39,15 @@
 //!   scheduling-dependent, but every combining step in the kernels
 //!   (privatized reduction, boundary-row handling, gram reduction)
 //!   already merges contributions in *logical-thread order*, never in
-//!   arrival order — so results are bitwise identical to the scoped
-//!   fallback for any worker count (`tests/determinism.rs`).
+//!   arrival order — so results are bitwise identical for any worker
+//!   count, including a one-worker pool that runs every logical thread
+//!   in order on the caller (`tests/determinism.rs`).
 //!
-//! [`Executor`] is the handle the engine and kernels carry: either a
-//! shared [`WorkerPool`] or the legacy [`scoped_fanout`] path
-//! (selectable via `StefOptions::runtime`) kept for A/B benchmarking.
-//! [`global`] is the process-wide default used by call sites that have
-//! no engine (the `sync::fanout` free function, and the
-//! `linalg::par` hook that routes `gram`/`matmul`/swap-count
-//! fan-outs through the same pool).
+//! [`Executor`] is the handle the engine and kernels carry: a shared
+//! [`WorkerPool`]. [`global`] is the process-wide default used by call
+//! sites that have no engine (the `sync::fanout` free function, and the
+//! `linalg::par` hook that routes `gram`/`matmul`/swap-count fan-outs
+//! through the same pool once [`global`] has been called).
 
 use crate::numa::{self, NumaPolicy, NumaTopology};
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
@@ -62,17 +61,6 @@ use std::time::{Duration, Instant};
 const SPIN_HINTS: usize = 256;
 /// `yield_now` rounds after the spin phase before parking on a condvar.
 const YIELD_ROUNDS: usize = 64;
-
-/// Which execution substrate the engine fans out on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Runtime {
-    /// The persistent worker pool (the default).
-    #[default]
-    Pool,
-    /// `std::thread::scope` with static contiguous blocks per worker —
-    /// the pre-pool behavior, kept selectable for A/B benchmarks.
-    Scoped,
-}
 
 /// Monotonic nanoseconds since a process-wide anchor, for storing
 /// deadlines in an `AtomicU64` (0 is reserved for "no deadline").
@@ -527,7 +515,7 @@ fn drain_work(
 fn finish_chunk(s: &Shared, nthreads: usize, done: usize, notify_done: bool) {
     // SeqCst: release the work just done to the dispatcher's
     // acquire load AND order against the `done_parked` handshake
-    // (see `try_run`): if the dispatcher parked before this add became
+    // (see `try_fanout`): if the dispatcher parked before this add became
     // visible, we observe `done_parked == true` and wake it.
     let prev = s.completed.fetch_add(done, Ordering::SeqCst);
     if notify_done && prev + done == nthreads && s.done_parked.load(Ordering::SeqCst) {
@@ -651,9 +639,8 @@ fn worker_loop(shared: &Shared, idx: usize) {
 /// A persistent pool of parked OS workers, dispatched by epoch.
 ///
 /// A pool of `workers` executes fan-outs on up to `workers` threads:
-/// `workers - 1` spawned pool threads plus the dispatching caller,
-/// matching the old scoped-spawn accounting. `workers <= 1` spawns
-/// nothing and runs every fan-out inline.
+/// `workers - 1` spawned pool threads plus the dispatching caller.
+/// `workers <= 1` spawns nothing and runs every fan-out inline.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     /// Join handles by worker index; `None` while a slot is being
@@ -892,24 +879,46 @@ impl WorkerPool {
         WORKER_OF.with(|c| c.get()) == Arc::as_ptr(&self.shared) as usize
     }
 
+    /// Whether every fan-out on this pool runs its logical threads
+    /// sequentially on the calling thread. True for a pool of one: it
+    /// never publishes a job (every `try_fanout` takes the inline path).
+    /// Kernels use this to drop synchronization whose only purpose is
+    /// surviving *concurrent* writers — notably the atomic accumulation
+    /// sweep, which degrades to plain fused row adds performing the same
+    /// additions in the same order, bit for bit.
+    pub fn is_serial(&self) -> bool {
+        self.workers() <= 1
+    }
+
+    /// Whether the installed token (if any) has requested cancellation.
+    /// Kernels check this between multi-pass fan-outs to skip passes
+    /// whose inputs were already cut short.
+    pub fn cancelled(&self) -> bool {
+        cancel_flag(&self.shared)
+    }
+
     /// Runs `f(th)` for every `th in 0..nthreads`, returning after the
-    /// join barrier (reads after `run` see every write the job
+    /// join barrier (reads after `fanout` see every write the job
     /// performed). A worker panic is isolated, the pool healed, and the
     /// panic re-raised on this thread; a cancellation leaves the job
-    /// partially executed (callers observe the token). Prefer
-    /// [`WorkerPool::try_run`] for typed outcomes.
-    pub fn run<F: Fn(usize) + Sync>(&self, nthreads: usize, f: &F) {
-        if let Err(FanoutError::Panicked(msg)) = self.try_run(nthreads, f) {
+    /// partially executed (callers observe the token via
+    /// [`WorkerPool::cancelled`]). Prefer [`WorkerPool::try_fanout`] for
+    /// typed outcomes.
+    pub fn fanout<F: Fn(usize) + Sync>(&self, nthreads: usize, f: F) {
+        if let Err(FanoutError::Panicked(msg)) = self.try_fanout(nthreads, f) {
             panic!("worker panicked during parallel fan-out: {msg}");
         }
     }
 
     /// Runs `f(th)` for every logical thread `0..nthreads` and joins,
     /// reporting worker panics and cancellation as typed errors instead
-    /// of deadlocking or unwinding.
+    /// of deadlocking or unwinding. The join barrier always resolves in
+    /// bounded time — panicked and skipped logical threads are counted
+    /// as completed.
     ///
     /// Steady-state calls perform no heap allocation.
-    pub fn try_run<F: Fn(usize) + Sync>(&self, nthreads: usize, f: &F) -> Result<(), FanoutError> {
+    pub fn try_fanout<F: Fn(usize) + Sync>(&self, nthreads: usize, f: F) -> Result<(), FanoutError> {
+        let f = &f;
         if nthreads == 0 {
             return Ok(());
         }
@@ -1112,235 +1121,31 @@ fn inline_fanout<F: Fn(usize)>(s: &Shared, nthreads: usize, f: &F) -> Result<(),
     Ok(())
 }
 
-/// The old execution model, kept verbatim for A/B benchmarking: fresh
-/// scoped OS threads per call, static contiguous logical-thread blocks.
-pub fn scoped_fanout<F: Fn(usize) + Sync>(workers: usize, nthreads: usize, f: &F) {
-    if nthreads == 0 {
-        return;
-    }
-    let workers = workers.clamp(1, nthreads);
-    if workers == 1 {
-        for th in 0..nthreads {
-            f(th);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for w in 1..workers {
-            let lo = w * nthreads / workers;
-            let hi = (w + 1) * nthreads / workers;
-            scope.spawn(move || {
-                for th in lo..hi {
-                    f(th);
-                }
-            });
-        }
-        for th in 0..nthreads / workers {
-            f(th);
-        }
-    });
-}
-
-/// Cancellation-aware variant of [`scoped_fanout`] used by the scoped
-/// executor's typed path: static contiguous blocks, but every logical
-/// thread is panic-isolated and checks the token before running.
-fn scoped_try_fanout<F: Fn(usize) + Sync>(
-    workers: usize,
-    nthreads: usize,
-    f: &F,
-    cancel: Option<&CancelToken>,
-) -> Result<(), FanoutError> {
-    if nthreads == 0 {
-        return Ok(());
-    }
-    if let Some(t) = cancel {
-        if t.expired() {
-            return Err(FanoutError::Cancelled);
-        }
-    }
-    let panic_slot: Mutex<Option<String>> = Mutex::new(None);
-    let cancelled = AtomicBool::new(false);
-    let run_block = |lo: usize, hi: usize| {
-        for th in lo..hi {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                cancelled.store(true, Ordering::Relaxed);
-                return;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(th))) {
-                *lock_unpoisoned(&panic_slot) = Some(payload_message(payload.as_ref()));
-            }
-        }
-    };
-    let workers = workers.clamp(1, nthreads);
-    if workers == 1 {
-        run_block(0, nthreads);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let lo = w * nthreads / workers;
-                let hi = (w + 1) * nthreads / workers;
-                let rb = &run_block;
-                scope.spawn(move || rb(lo, hi));
-            }
-            run_block(0, nthreads / workers);
-        });
-    }
-    if let Some(msg) = lock_unpoisoned(&panic_slot).take() {
-        return Err(FanoutError::Panicked(msg));
-    }
-    if cancelled.load(Ordering::Relaxed) {
-        return Err(FanoutError::Cancelled);
-    }
-    Ok(())
-}
-
-/// The handle every fan-out site goes through: a shared persistent pool
-/// or the scoped-spawn fallback.
+/// The handle every fan-out site goes through: a shared [`WorkerPool`].
+/// Clones share one pool; the pool's methods are reached through
+/// `Deref`.
 #[derive(Clone)]
-pub enum Executor {
-    /// Dispatch on a persistent [`WorkerPool`].
-    Pool(Arc<WorkerPool>),
-    /// Spawn scoped threads per call (the pre-pool behavior).
-    Scoped {
-        /// Maximum concurrent executors per fan-out.
-        workers: usize,
-        /// Installed cancellation token, shared across clones.
-        cancel: Arc<Mutex<Option<CancelToken>>>,
-    },
-}
+pub struct Executor(Arc<WorkerPool>);
 
 impl Executor {
-    /// Builds an executor of the requested kind sized for `workers`
-    /// concurrent executors.
-    pub fn new(kind: Runtime, workers: usize) -> Self {
-        match kind {
-            Runtime::Pool => Executor::Pool(Arc::new(WorkerPool::new(workers))),
-            Runtime::Scoped => Executor::Scoped {
-                workers: workers.max(1),
-                cancel: Arc::new(Mutex::new(None)),
-            },
-        }
+    /// A pool sized for `workers` concurrent executors, placed per the
+    /// `STEF_NUMA` env default.
+    pub fn new(workers: usize) -> Self {
+        Executor(Arc::new(WorkerPool::new(workers)))
     }
 
     /// [`Executor::new`] with an explicit NUMA policy (the engine path:
-    /// `StefOptions::numa` instead of the `STEF_NUMA` env default). The
-    /// scoped substrate spawns fresh threads per call, so placement
-    /// does not apply there and the policy is ignored.
-    pub fn with_numa(kind: Runtime, workers: usize, policy: NumaPolicy) -> Self {
-        match kind {
-            Runtime::Pool => Executor::Pool(Arc::new(WorkerPool::with_numa(
-                workers,
-                policy,
-                &NumaTopology::detect(),
-            ))),
-            Runtime::Scoped => Executor::Scoped {
-                workers: workers.max(1),
-                cancel: Arc::new(Mutex::new(None)),
-            },
-        }
+    /// `StefOptions::numa` instead of the `STEF_NUMA` env default).
+    pub fn with_numa(workers: usize, policy: NumaPolicy) -> Self {
+        Executor(Arc::new(WorkerPool::with_numa(workers, policy, &NumaTopology::detect())))
     }
+}
 
-    /// NUMA claim segments of the underlying pool (1 for the scoped
-    /// substrate, which has no persistent workers to place).
-    pub fn numa_nodes(&self) -> usize {
-        match self {
-            Executor::Pool(p) => p.numa_nodes(),
-            Executor::Scoped { .. } => 1,
-        }
-    }
+impl std::ops::Deref for Executor {
+    type Target = WorkerPool;
 
-    /// Per spawned worker placement (empty for the scoped substrate).
-    pub fn placement(&self) -> Vec<WorkerPlacement> {
-        match self {
-            Executor::Pool(p) => p.placement(),
-            Executor::Scoped { .. } => Vec::new(),
-        }
-    }
-
-    /// Which [`Runtime`] this executor implements.
-    pub fn kind(&self) -> Runtime {
-        match self {
-            Executor::Pool(_) => Runtime::Pool,
-            Executor::Scoped { .. } => Runtime::Scoped,
-        }
-    }
-
-    /// Worker budget of this executor.
-    pub fn workers(&self) -> usize {
-        match self {
-            Executor::Pool(p) => p.workers(),
-            Executor::Scoped { workers, .. } => *workers,
-        }
-    }
-
-    /// Whether every fan-out through this executor runs its logical
-    /// threads sequentially on the calling thread. True for a worker
-    /// budget of ≤ 1: the pool then never publishes a job (every
-    /// `try_run` takes the inline path) and the scoped fallback loops
-    /// `0..nthreads` on the caller. Kernels use this to drop
-    /// synchronization whose only purpose is surviving *concurrent*
-    /// writers — notably the atomic accumulation sweep, which degrades
-    /// to plain fused row adds performing the same additions in the
-    /// same order, bit for bit.
-    pub fn is_serial(&self) -> bool {
-        self.workers() <= 1
-    }
-
-    /// Installs (or clears) the cancellation token checked by every
-    /// subsequent fan-out's chunk claims.
-    pub fn set_cancel(&self, token: Option<CancelToken>) {
-        match self {
-            Executor::Pool(p) => p.set_cancel(token),
-            Executor::Scoped { cancel, .. } => *lock_unpoisoned(cancel) = token,
-        }
-    }
-
-    /// Whether the installed token (if any) has requested cancellation.
-    /// Kernels check this between multi-pass fan-outs to skip passes
-    /// whose inputs were already cut short.
-    pub fn cancelled(&self) -> bool {
-        match self {
-            Executor::Pool(p) => cancel_flag(&p.shared),
-            Executor::Scoped { cancel, .. } => {
-                lock_unpoisoned(cancel).as_ref().is_some_and(CancelToken::is_cancelled)
-            }
-        }
-    }
-
-    /// Runs `f(th)` for every logical thread `0..nthreads` and joins.
-    /// A worker panic is re-raised on this thread after the pool healed;
-    /// cancellation returns with the job partially executed (callers
-    /// observe the token via [`Executor::cancelled`]).
-    pub fn fanout<F: Fn(usize) + Sync>(&self, nthreads: usize, f: F) {
-        if let Err(FanoutError::Panicked(msg)) = self.try_fanout(nthreads, f) {
-            panic!("worker panicked during parallel fan-out: {msg}");
-        }
-    }
-
-    /// Runs `f(th)` for every logical thread `0..nthreads` and joins,
-    /// reporting worker panics and cancellation as typed errors. The
-    /// join barrier always resolves in bounded time — panicked and
-    /// skipped logical threads are counted as completed.
-    pub fn try_fanout<F: Fn(usize) + Sync>(&self, nthreads: usize, f: F) -> Result<(), FanoutError> {
-        match self {
-            Executor::Pool(p) => p.try_run(nthreads, &f),
-            Executor::Scoped { workers, cancel } => {
-                let token = lock_unpoisoned(cancel).clone();
-                scoped_try_fanout(*workers, nthreads, &f, token.as_ref())
-            }
-        }
-    }
-
-    /// Counter snapshot (zeros for the scoped fallback, which has no
-    /// persistent state to count).
-    pub fn counters(&self) -> RuntimeCounters {
-        match self {
-            Executor::Pool(p) => p.counters(),
-            Executor::Scoped { workers, .. } => RuntimeCounters {
-                workers: *workers,
-                ..RuntimeCounters::default()
-            },
-        }
+    fn deref(&self) -> &WorkerPool {
+        &self.0
     }
 }
 
@@ -1361,17 +1166,15 @@ fn parse_thread_env(v: &str) -> Option<usize> {
 }
 
 /// Default logical-thread count used when `num_threads == 0`:
-/// `STEF_NUM_THREADS` if set, else `RAYON_NUM_THREADS` (honored for
-/// continuity — the pre-pool substrate sized itself from rayon's global
-/// pool, so deployments that capped parallelism through rayon keep
-/// their cap instead of silently getting every logical CPU), else the
-/// hardware probe. Cached once per process.
+/// `STEF_NUM_THREADS` if set, else the hardware probe. Cached once per
+/// process.
 pub fn default_threads() -> usize {
     static DEF: OnceLock<usize> = OnceLock::new();
     *DEF.get_or_init(|| {
-        ["STEF_NUM_THREADS", "RAYON_NUM_THREADS"]
-            .iter()
-            .find_map(|var| std::env::var(var).ok().as_deref().and_then(parse_thread_env))
+        std::env::var("STEF_NUM_THREADS")
+            .ok()
+            .as_deref()
+            .and_then(parse_thread_env)
             .unwrap_or_else(hardware_workers)
     })
 }
@@ -1397,13 +1200,16 @@ fn linalg_bridge(tasks: usize, f: &(dyn Fn(usize) + Sync)) {
 }
 
 /// The process-wide default executor, used by call sites that have no
-/// engine: the `sync::fanout` free function, the kernel convenience
-/// wrappers, and (via [`linalg::par`]) the dense-algebra fan-outs.
+/// engine: the `sync::fanout` free function and the kernel convenience
+/// wrappers. Its first call also installs the [`linalg::par`] bridge,
+/// so the dense-algebra fan-outs run on this pool from then on; a
+/// process that never calls it (an engine plus `cpd_als` alone) leaves
+/// them on `linalg::par`'s scoped-thread fallback.
 pub fn global() -> &'static Executor {
     static GLOBAL: OnceLock<Executor> = OnceLock::new();
     GLOBAL.get_or_init(|| {
         linalg::par::install_fanout(linalg_bridge);
-        Executor::new(Runtime::Pool, resolve_workers(0))
+        Executor::new(resolve_workers(0))
     })
 }
 
@@ -1434,7 +1240,7 @@ mod tests {
     #[test]
     fn pool_covers_every_logical_thread_once() {
         for workers in [1usize, 2, 4, 8] {
-            let exec = Executor::new(Runtime::Pool, workers);
+            let exec = Executor::new(workers);
             for nthreads in [0usize, 1, 2, 3, 7, 16, 33, 257] {
                 coverage(&exec, nthreads);
             }
@@ -1442,18 +1248,8 @@ mod tests {
     }
 
     #[test]
-    fn scoped_covers_every_logical_thread_once() {
-        for workers in [1usize, 2, 4] {
-            let exec = Executor::new(Runtime::Scoped, workers);
-            for nthreads in [0usize, 1, 2, 3, 7, 16, 33] {
-                coverage(&exec, nthreads);
-            }
-        }
-    }
-
-    #[test]
     fn join_barrier_publishes_writes() {
-        let exec = Executor::new(Runtime::Pool, 4);
+        let exec = Executor::new(4);
         let mut data = vec![0usize; 64];
         {
             let shared = crate::sync::SharedSlice::new(&mut data);
@@ -1470,7 +1266,7 @@ mod tests {
 
     #[test]
     fn reentrant_fanout_runs_inline() {
-        let exec = Executor::new(Runtime::Pool, 4);
+        let exec = Executor::new(4);
         let outer = AtomicUsize::new(0);
         let inner = AtomicUsize::new(0);
         let e2 = exec.clone();
@@ -1488,7 +1284,7 @@ mod tests {
 
     #[test]
     fn counters_track_dispatches() {
-        let exec = Executor::new(Runtime::Pool, 4);
+        let exec = Executor::new(4);
         for _ in 0..10 {
             exec.fanout(16, |_| {});
         }
@@ -1524,8 +1320,8 @@ mod tests {
         // A worker of pool `a` is NOT a worker of pool `b`: nested
         // fan-outs onto the distinct (idle) pool must be allowed to
         // dispatch there, not forced inline by a process-global guard.
-        let a = Executor::new(Runtime::Pool, 4);
-        let b = Executor::new(Runtime::Pool, 4);
+        let a = Executor::new(4);
+        let b = Executor::new(4);
         let inner = AtomicUsize::new(0);
         a.fanout(8, |_| {
             b.fanout(16, |_| {
@@ -1544,13 +1340,13 @@ mod tests {
 
     #[test]
     fn global_executor_is_a_pool() {
-        assert_eq!(global().kind(), Runtime::Pool);
+        assert_eq!(global().workers(), resolve_workers(0));
         coverage(global(), 9);
     }
 
     #[test]
     fn worker_panic_surfaces_typed_error_and_pool_stays_usable() {
-        let exec = Executor::new(Runtime::Pool, 4);
+        let exec = Executor::new(4);
         let ran = AtomicUsize::new(0);
         let r = exec.try_fanout(64, |th| {
             if th == 7 {
@@ -1573,7 +1369,7 @@ mod tests {
 
     #[test]
     fn infallible_fanout_repanics_on_worker_panic() {
-        let exec = Executor::new(Runtime::Pool, 4);
+        let exec = Executor::new(4);
         let r = catch_unwind(AssertUnwindSafe(|| {
             exec.fanout(16, |th| {
                 if th == 3 {
@@ -1587,7 +1383,7 @@ mod tests {
 
     #[test]
     fn cancel_mid_job_skips_unclaimed_threads() {
-        let exec = Executor::new(Runtime::Pool, 4);
+        let exec = Executor::new(4);
         let token = CancelToken::new();
         exec.set_cancel(Some(token.clone()));
         let ran = AtomicUsize::new(0);
@@ -1613,18 +1409,16 @@ mod tests {
 
     #[test]
     fn pre_cancelled_token_refuses_dispatch() {
-        for kind in [Runtime::Pool, Runtime::Scoped] {
-            let exec = Executor::new(kind, 4);
-            let token = CancelToken::new();
-            token.cancel();
-            exec.set_cancel(Some(token));
-            let ran = AtomicUsize::new(0);
-            let r = exec.try_fanout(16, |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(r, Err(FanoutError::Cancelled), "{kind:?}");
-            assert_eq!(ran.load(Ordering::Relaxed), 0, "{kind:?}");
-        }
+        let exec = Executor::new(4);
+        let token = CancelToken::new();
+        token.cancel();
+        exec.set_cancel(Some(token));
+        let ran = AtomicUsize::new(0);
+        let r = exec.try_fanout(16, |_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(r, Err(FanoutError::Cancelled));
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1636,34 +1430,9 @@ mod tests {
         assert!(token.expired());
         assert!(token.is_cancelled(), "expiry must be promoted to the sticky flag");
 
-        let exec = Executor::new(Runtime::Pool, 2);
+        let exec = Executor::new(2);
         exec.set_cancel(Some(token));
         assert_eq!(exec.try_fanout(8, |_| {}), Err(FanoutError::Cancelled));
-    }
-
-    #[test]
-    fn scoped_executor_panic_and_cancel_are_typed() {
-        let exec = Executor::new(Runtime::Scoped, 3);
-        match exec.try_fanout(9, |th| {
-            if th == 4 {
-                panic!("scoped boom");
-            }
-        }) {
-            Err(FanoutError::Panicked(msg)) => assert!(msg.contains("scoped boom")),
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        let token = CancelToken::new();
-        exec.set_cancel(Some(token.clone()));
-        let t2 = token.clone();
-        let r = exec.try_fanout(64, move |th| {
-            if th == 0 {
-                t2.cancel();
-            }
-        });
-        // Thread 0 runs in the dispatcher's own block after the spawned
-        // blocks start, so whether spawned blocks observe the flag is
-        // timing-dependent — but the outcome must be typed either way.
-        assert!(matches!(r, Ok(()) | Err(FanoutError::Cancelled)));
     }
 
     #[test]
@@ -1671,7 +1440,7 @@ mod tests {
         let topo = NumaTopology::synthetic(vec![vec![0, 1], vec![0, 1]]);
         let pool = WorkerPool::with_numa(4, NumaPolicy::Auto, &topo);
         assert_eq!(pool.numa_nodes(), 2);
-        let exec = Executor::Pool(Arc::new(pool));
+        let exec = Executor(Arc::new(pool));
         for nthreads in [1usize, 2, 3, 7, 16, 33, 257] {
             coverage(&exec, nthreads);
         }
@@ -1694,7 +1463,7 @@ mod tests {
     #[test]
     fn numa_pool_chunk_accounting_stays_exact() {
         let topo = NumaTopology::synthetic(vec![vec![0, 1], vec![0, 1]]);
-        let exec = Executor::Pool(Arc::new(WorkerPool::with_numa(4, NumaPolicy::Auto, &topo)));
+        let exec = Executor(Arc::new(WorkerPool::with_numa(4, NumaPolicy::Auto, &topo)));
         for _ in 0..10 {
             exec.fanout(16, |_| {});
         }
@@ -1709,7 +1478,7 @@ mod tests {
     #[test]
     fn numa_pool_cancel_still_resolves_barrier() {
         let topo = NumaTopology::synthetic(vec![vec![0, 1], vec![0, 1]]);
-        let exec = Executor::Pool(Arc::new(WorkerPool::with_numa(4, NumaPolicy::Auto, &topo)));
+        let exec = Executor(Arc::new(WorkerPool::with_numa(4, NumaPolicy::Auto, &topo)));
         let token = CancelToken::new();
         exec.set_cancel(Some(token.clone()));
         let t2 = token.clone();
@@ -1739,12 +1508,12 @@ mod tests {
     fn numa_results_match_single_node_results() {
         // The segmented cursor changes who computes what, never what is
         // computed: summing th*th over claims must agree exactly.
-        let multi = Executor::Pool(Arc::new(WorkerPool::with_numa(
+        let multi = Executor(Arc::new(WorkerPool::with_numa(
             4,
             NumaPolicy::Auto,
             &NumaTopology::synthetic(vec![vec![0, 1], vec![0, 1]]),
         )));
-        let plain = Executor::new(Runtime::Pool, 4);
+        let plain = Executor::new(4);
         for nthreads in [3usize, 17, 64] {
             let total = |exec: &Executor| {
                 let acc = AtomicUsize::new(0);
@@ -1760,7 +1529,7 @@ mod tests {
     #[test]
     fn inline_paths_are_cancel_aware_and_panic_isolated() {
         // A 1-worker pool runs everything inline.
-        let exec = Executor::new(Runtime::Pool, 1);
+        let exec = Executor::new(1);
         match exec.try_fanout(4, |th| {
             if th == 2 {
                 panic!("inline boom");

@@ -209,80 +209,18 @@ impl<'a> SharedRows<'a> {
 /// by multiple tasks — the generic sibling of [`SharedRows`] used for the
 /// workspace arenas (`f64` scratch, `usize` traversal stacks) and for the
 /// chunked privatized-output reduction, where the natural unit is an
-/// arbitrary element range rather than a fixed-length row.
-pub struct SharedSlice<'a, T> {
-    data: &'a [UnsafeCell<T>],
-}
-
-// SAFETY: same argument as `SharedRows` — the caller owns the buffer for
-// the duration of the parallel region, all access goes through the unsafe
-// range accessors whose contract requires disjointness, and the join at
-// the end of the region provides the happens-before edge.
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    /// Wraps a mutable buffer.
-    pub fn new(buf: &'a mut [T]) -> Self {
-        // SAFETY: `UnsafeCell<T>` has the same layout as `T`, and we hold
-        // the unique `&mut` to the buffer.
-        let data = unsafe {
-            std::slice::from_raw_parts(buf.as_ptr() as *const UnsafeCell<T>, buf.len())
-        };
-        SharedSlice { data }
-    }
-
-    /// Total element count.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Returns a mutable view of elements `lo..hi`.
-    ///
-    /// # Safety
-    /// The caller must guarantee that no other task accesses any element
-    /// of `lo..hi` (mutably or otherwise) while the returned slice is
-    /// alive.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [T] {
-        debug_assert!(lo <= hi && hi <= self.data.len());
-        // SAFETY: in-bounds by the assert; exclusivity is the caller's
-        // contract.
-        unsafe { std::slice::from_raw_parts_mut(self.data[lo].get(), hi - lo) }
-    }
-
-    /// Returns a read-only view of elements `lo..hi`.
-    ///
-    /// # Safety
-    /// No task may be writing any element of `lo..hi` concurrently.
-    #[inline]
-    pub unsafe fn range(&self, lo: usize, hi: usize) -> &[T] {
-        debug_assert!(lo <= hi && hi <= self.data.len());
-        // SAFETY: see above.
-        unsafe { std::slice::from_raw_parts(self.data[lo].get(), hi - lo) }
-    }
-}
+/// arbitrary element range rather than a fixed-length row. One type,
+/// shared with the dense-algebra fan-outs of `linalg`.
+pub use linalg::par::SharedSlice;
 
 /// Runs `f(th)` for every logical thread `0..nthreads` on the
 /// process-global persistent worker pool ([`crate::runtime::global`]),
 /// allocation-free in the steady state.
 ///
-/// This is the kernels' replacement for `(0..nthreads).into_par_iter()`:
-/// the rayon shim materializes the range into a `Vec` on every call,
-/// which would violate the workspace's no-steady-state-allocation
-/// guarantee. Callers with an engine-owned [`crate::runtime::Executor`]
-/// (which honors `StefOptions::num_threads` instead of the global
-/// hardware probe) should fan out on that executor directly; this free
-/// function exists for schedule-less call sites (validation scans,
-/// baselines, tests).
+/// Callers with an engine-owned [`crate::runtime::Executor`] (which
+/// honors `StefOptions::num_threads`) should fan out on that executor
+/// directly; this free function exists for schedule-less call sites
+/// (validation scans, baselines, tests).
 pub fn fanout<F: Fn(usize) + Sync>(nthreads: usize, f: F) {
     crate::runtime::global().fanout(nthreads, f);
 }
@@ -290,14 +228,13 @@ pub fn fanout<F: Fn(usize) + Sync>(nthreads: usize, f: F) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn disjoint_rows_written_in_parallel() {
         let mut buf = vec![0.0; 64 * 8];
         {
             let shared = SharedRows::new(&mut buf, 8);
-            (0..64usize).into_par_iter().for_each(|r| {
+            fanout(64, |r| {
                 // SAFETY: each task touches exactly its own row.
                 let row = unsafe { shared.row_mut(r) };
                 for (k, x) in row.iter_mut().enumerate() {
@@ -315,7 +252,7 @@ mod tests {
         let mut buf = vec![0.0; 4];
         {
             let shared = SharedRows::new(&mut buf, 4);
-            (0..1000usize).into_par_iter().for_each(|_| {
+            fanout(1000, |_| {
                 shared.atomic_add_row(0, &[1.0, 2.0, 0.0, -1.0]);
             });
         }

@@ -68,7 +68,7 @@ fn main() {
 
     println!(
         "\nMTTKRP sweep times ({} threads):",
-        rayon::current_num_threads()
+        stef::runtime::default_threads()
     );
     println!("  stef (nnz-balanced):      {:>8.2} ms", t_stef * 1e3);
     println!("  stef (slice-scheduled):   {:>8.2} ms", t_slice * 1e3);

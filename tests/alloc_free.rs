@@ -86,7 +86,7 @@ fn run_case(dims: &[usize], nnz: usize, rank: usize, nthreads: usize, save: &[bo
     // A genuinely multi-worker pool (not the hardware probe): the
     // zero-alloc claim must hold when dispatches actually cross OS
     // threads, not just on the single-worker inline path.
-    let rt = stef::Executor::new(stef::Runtime::Pool, nthreads.clamp(1, 4));
+    let rt = stef::Executor::new(nthreads.clamp(1, 4));
     let scope = common::arm(&rt);
     let delta = count_sweep_allocs(&scope, &ctx, &mut partials, &rt, &mut ws, &mut outs, 3);
     assert_eq!(

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
-use stef::{Executor, Runtime};
+use stef::Executor;
 
 thread_local! {
     /// The counter this thread's allocator calls land in (null: none).
@@ -141,7 +141,7 @@ pub fn arm(rt: &Executor) -> AllocScope {
 /// calls.
 #[test]
 fn scoped_counter_sees_worker_thread_allocations() {
-    let rt = Executor::new(Runtime::Pool, 3);
+    let rt = Executor::new(3);
     assert!(rt.workers() > 1, "the control needs a multi-worker pool");
     let scope = arm(&rt);
     let test_thread = std::thread::current().id();

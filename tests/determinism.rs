@@ -19,7 +19,7 @@ use stef::{cpd_als, AccumStrategy, CpdOptions, KernelPath, MttkrpEngine, Stef, S
 use workloads::power_law_tensor;
 
 fn sequential_fanout() -> bool {
-    rayon::current_num_threads() == 1
+    stef::runtime::hardware_workers() == 1
 }
 
 fn factor_bits(factors: &[Mat]) -> Vec<u64> {
@@ -31,21 +31,11 @@ fn factor_bits(factors: &[Mat]) -> Vec<u64> {
 
 /// (factor bits, fit bits) of one seeded CPD run.
 fn run_cpd(nthreads: usize, path: KernelPath, accum: AccumStrategy) -> (Vec<u64>, Vec<u64>) {
-    run_cpd_on(nthreads, path, accum, stef::Runtime::Pool)
-}
-
-fn run_cpd_on(
-    nthreads: usize,
-    path: KernelPath,
-    accum: AccumStrategy,
-    runtime: stef::Runtime,
-) -> (Vec<u64>, Vec<u64>) {
     let t = power_law_tensor(&[25, 18, 30], 1_200, &[0.6, 0.4, 0.5], 9);
     let mut opts = StefOptions::new(4);
     opts.num_threads = nthreads;
     opts.kernel_path = path;
     opts.accum = accum;
-    opts.runtime = runtime;
     let mut engine = Stef::prepare(&t, opts);
     let cpd_opts = CpdOptions {
         max_iters: 4,
@@ -157,36 +147,15 @@ fn single_mttkrp_is_bitwise_reproducible() {
 }
 
 #[test]
-fn pool_and_scoped_runtimes_agree_at_cpd_level() {
-    // Switching the executor must not change the answer: the pool and
-    // the scoped fallback decompose work identically (same logical
-    // threads, same chunking, combination in logical-thread order), so
-    // the whole CPD trajectory matches bit for bit whenever the run is
-    // deterministic at all, for every kernel path.
-    for nthreads in [1usize, 2, 7, 16] {
-        for path in [KernelPath::Vectorized, KernelPath::Legacy] {
-            for accum in [AccumStrategy::Privatized, AccumStrategy::Atomic] {
-                let pool = run_cpd_on(nthreads, path, accum, stef::Runtime::Pool);
-                let scoped = run_cpd_on(nthreads, path, accum, stef::Runtime::Scoped);
-                assert_same_run(
-                    &pool,
-                    &scoped,
-                    &format!("pool vs scoped: {nthreads} threads, {path:?}, {accum:?}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn privatized_modeu_is_bitwise_identical_for_any_worker_count() {
     // The strongest determinism claim the runtime makes: on the
     // privatized (atomic-free) kernel path, the *number of pool workers*
     // is invisible — workers claim chunks dynamically, but every chunk
     // writes thread-private state keyed by logical thread, and the
     // reduction always combines copies in logical-thread order. So the
-    // bits must match across executors and worker counts even when the
-    // fan-out genuinely runs on many OS threads.
+    // bits must match a one-worker pool (fully serial, logical-thread
+    // order) at every worker count, even when the fan-out genuinely runs
+    // on many OS threads.
     use linalg::Mat;
     use sptensor::build_csf;
     use stef::kernels::{modeu_with, KernelCtx, ResolvedAccum};
@@ -227,13 +196,13 @@ fn privatized_modeu_is_bitwise_identical_for_any_worker_count() {
             .collect()
     };
 
-    let reference = run(&stef::Executor::new(stef::Runtime::Scoped, 4));
-    for workers in [1usize, 2, 4, 8] {
-        let pool = stef::Executor::new(stef::Runtime::Pool, workers);
+    let reference = run(&stef::Executor::new(1));
+    for workers in [2usize, 4, 8] {
+        let pool = stef::Executor::new(workers);
         assert_eq!(
             run(&pool),
             reference,
-            "pool({workers} workers) diverged from scoped"
+            "pool({workers} workers) diverged from the serial pool"
         );
     }
 }

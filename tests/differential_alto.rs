@@ -17,9 +17,7 @@ use proptest::prelude::*;
 use sptensor::{CooTensor, Linearized};
 use stef::kernels::ResolvedAccum;
 use stef::kernels_alto::alto_mode_with;
-use stef::{
-    AccumStrategy, AltoEngine, Executor, MttkrpEngine, Runtime, Stef, StefOptions, Workspace,
-};
+use stef::{AccumStrategy, AltoEngine, Executor, MttkrpEngine, Stef, StefOptions, Workspace};
 
 /// Strategy: a random small tensor with 3–5 modes.
 fn arb_tensor() -> impl Strategy<Value = CooTensor> {
@@ -100,8 +98,9 @@ proptest! {
 /// privatized copies in logical-thread order regardless of how physical
 /// pool workers claim chunks — the same contract the CSF kernels make
 /// (see `tests/determinism.rs`). So at a fixed logical thread count the
-/// bits must match across executors and pool-worker counts, including
-/// counts that do not divide the nonzero count.
+/// bits must match a one-worker pool (fully serial, logical-thread
+/// order) at every pool-worker count, including counts that do not
+/// divide the nonzero count.
 #[test]
 fn results_are_bitwise_identical_across_worker_counts() {
     let t = {
@@ -141,13 +140,13 @@ fn results_are_bitwise_identical_across_worker_counts() {
 
     // Atomic emission is order-dependent, so only the privatized path
     // carries the bitwise guarantee (matching the CSF engine).
-    let reference = run(&Executor::new(Runtime::Scoped, 4), ResolvedAccum::Privatized);
-    for workers in [1usize, 2, 3, 8] {
-        let pool = Executor::new(Runtime::Pool, workers);
+    let reference = run(&Executor::new(1), ResolvedAccum::Privatized);
+    for workers in [2usize, 3, 8] {
+        let pool = Executor::new(workers);
         assert_eq!(
             run(&pool, ResolvedAccum::Privatized),
             reference,
-            "pool({workers} workers) diverged from scoped"
+            "pool({workers} workers) diverged from the serial pool"
         );
     }
 }
@@ -180,7 +179,7 @@ fn warm_linearized_sweeps_are_alloc_free() {
     let lin = Linearized::build(&t).expect("fits in 128 bits");
     let factors = factors_for(t.dims(), rank, 3);
     let refs: Vec<&Mat> = factors.iter().collect();
-    let rt = Executor::new(Runtime::Pool, nthreads);
+    let rt = Executor::new(nthreads);
     let scope = common::arm(&rt);
     let max_priv = *t.dims().iter().max().unwrap();
     let mut ws = Workspace::new(t.dims().len(), rank, nthreads, max_priv);

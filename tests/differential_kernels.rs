@@ -98,7 +98,7 @@ proptest! {
             mode0_with(&ctx, &views, stef::runtime::global(), &mut ws, &mut out_new);
         }
         let mut out_old = Mat::zeros(csf.level_dims()[0], rank);
-        kernels_legacy::mode0_pass(&ctx, &mut p_old, &mut out_old);
+        kernels_legacy::mode0_pass(&ctx, &mut p_old, stef::runtime::global(), &mut out_old);
         assert_mat_approx_eq(&out_new, &out_old, 1e-12);
         assert_mat_approx_eq(&out_new, &t.mttkrp_reference(&factors, 0), 1e-9);
 
@@ -107,8 +107,14 @@ proptest! {
             let expect = t.mttkrp_reference(&factors, u);
             for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
                 for use_saved in [true, false] {
-                    let old =
-                        kernels_legacy::modeu_pass(&ctx, &mut p_old, u, accum, use_saved);
+                    let old = kernels_legacy::modeu_pass(
+                        &ctx,
+                        &mut p_old,
+                        u,
+                        accum,
+                        use_saved,
+                        stef::runtime::global(),
+                    );
                     let mut new = Mat::zeros(csf.level_dims()[u], rank);
                     {
                         let views = p_new.shared_views();

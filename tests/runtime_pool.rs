@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-use stef::{CancelToken, Executor, FanoutError, Runtime, WorkerPool};
+use stef::{CancelToken, Executor, FanoutError, WorkerPool};
 
 /// Aborts the whole test process if `f` does not finish within
 /// `secs` — a deadlocked completion barrier would otherwise hang the
@@ -52,7 +52,7 @@ fn nthreads_not_divisible_by_workers() {
     // 7 logical threads on 4 workers, 33 on 8, 5 on 3: remainders must
     // neither be dropped nor run twice.
     for (workers, nthreads) in [(4usize, 7usize), (8, 33), (3, 5), (4, 6), (8, 12)] {
-        let rt = Executor::new(Runtime::Pool, workers);
+        let rt = Executor::new(workers);
         assert_exact_coverage(&rt, nthreads);
     }
 }
@@ -62,7 +62,7 @@ fn fewer_logical_threads_than_workers() {
     // Most workers find the cursor already exhausted and must park
     // again cleanly without claiming anything.
     for (workers, nthreads) in [(8usize, 1usize), (8, 3), (4, 2), (16, 5)] {
-        let rt = Executor::new(Runtime::Pool, workers);
+        let rt = Executor::new(workers);
         for _ in 0..10 {
             assert_exact_coverage(&rt, nthreads);
         }
@@ -71,7 +71,7 @@ fn fewer_logical_threads_than_workers() {
 
 #[test]
 fn zero_logical_threads_is_a_noop() {
-    let rt = Executor::new(Runtime::Pool, 4);
+    let rt = Executor::new(4);
     let ran = AtomicUsize::new(0);
     rt.fanout(0, |_| {
         ran.fetch_add(1, Ordering::Relaxed);
@@ -90,7 +90,7 @@ fn dispatch_storm_100k_tiny_jobs() {
     // acting on an old epoch's cursor) breaks the per-dispatch sum.
     const DISPATCHES: usize = 100_000;
     const NTHREADS: usize = 5;
-    let rt = Executor::new(Runtime::Pool, 4);
+    let rt = Executor::new(4);
     let total = AtomicUsize::new(0);
     for _ in 0..DISPATCHES {
         rt.fanout(NTHREADS, |th| {
@@ -118,7 +118,7 @@ fn dispatch_storm_100k_tiny_jobs() {
 #[test]
 fn counters_are_consistent_after_mixed_sizes() {
     const WORKERS: usize = 3;
-    let rt = Executor::new(Runtime::Pool, WORKERS);
+    let rt = Executor::new(WORKERS);
     let mut expected_chunks = 0u64;
     let mut expected_dispatched = 0u64;
     let mut expected_inline = 0u64;
@@ -160,7 +160,7 @@ fn concurrent_dispatchers_share_one_pool() {
     // Two OS threads hammer the same pool concurrently. The dispatch
     // lock serializes them; the loser of a try_lock race runs inline.
     // Either way every fan-out must execute exactly once.
-    let rt = Executor::new(Runtime::Pool, 4);
+    let rt = Executor::new(4);
     let sum = AtomicUsize::new(0);
     let gate = Barrier::new(2);
     const ROUNDS: usize = 2_000;
@@ -186,7 +186,7 @@ fn reentrant_fanout_from_a_pool_worker_runs_inline() {
     // A job that itself fans out must not deadlock on the pool it is
     // running on — the inner fan-out detects it is on a pool worker (or
     // fails the dispatch try_lock) and runs inline.
-    let rt = Executor::new(Runtime::Pool, 2);
+    let rt = Executor::new(2);
     let hits = AtomicUsize::new(0);
     rt.fanout(4, |_outer| {
         rt.fanout(3, |_inner| {
@@ -199,7 +199,7 @@ fn reentrant_fanout_from_a_pool_worker_runs_inline() {
 #[test]
 fn worker_panic_yields_typed_error_in_bounded_time_and_pool_heals() {
     with_watchdog(60, || {
-        let rt = Executor::new(Runtime::Pool, 4);
+        let rt = Executor::new(4);
         // Thread 3 panics mid-chunk; the completion barrier must still
         // resolve (the panicked chunk counts as done) and the error must
         // carry the payload.
@@ -223,7 +223,7 @@ fn worker_panic_yields_typed_error_in_bounded_time_and_pool_heals() {
 #[test]
 fn repeated_panics_never_wedge_the_pool() {
     with_watchdog(120, || {
-        let rt = Executor::new(Runtime::Pool, 3);
+        let rt = Executor::new(3);
         for round in 0..50 {
             let res = rt.try_fanout(7, |th| {
                 if th == round % 7 {
@@ -239,7 +239,7 @@ fn repeated_panics_never_wedge_the_pool() {
 #[test]
 fn cancelled_token_short_circuits_dispatch() {
     with_watchdog(60, || {
-        let rt = Executor::new(Runtime::Pool, 4);
+        let rt = Executor::new(4);
         let token = CancelToken::new();
         rt.set_cancel(Some(token.clone()));
         token.cancel();
@@ -263,7 +263,7 @@ fn cancelled_token_short_circuits_dispatch() {
 #[test]
 fn expired_deadline_cancels_like_an_explicit_cancel() {
     with_watchdog(60, || {
-        let rt = Executor::new(Runtime::Pool, 4);
+        let rt = Executor::new(4);
         let token = CancelToken::new();
         token.set_deadline(Duration::ZERO);
         rt.set_cancel(Some(token.clone()));
@@ -279,11 +279,11 @@ fn expired_deadline_cancels_like_an_explicit_cancel() {
 #[test]
 fn raw_pool_survives_drop_with_queued_work_done() {
     // Dropping a pool right after a dispatch must join workers cleanly
-    // (the run() barrier guarantees the job is finished first).
+    // (the fanout() barrier guarantees the job is finished first).
     for _ in 0..50 {
         let pool = WorkerPool::new(3);
         let n = AtomicUsize::new(0);
-        pool.run(8, &|_| {
+        pool.fanout(8, |_| {
             n.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(n.load(Ordering::Relaxed), 8);

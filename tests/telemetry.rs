@@ -1,12 +1,10 @@
-//! Telemetry layer, end to end: per-mode measured counters must be
-//! substrate-independent (pool vs scoped), spans must stay well-formed
+//! Telemetry layer, end to end: every iteration must record measured
+//! counters for every mode, spans must stay well-formed
 //! under worker panics and cancellation, the JSONL and Chrome exports
 //! must round-trip through the bench crate's tolerant JSON parser, and
 //! the model-vs-measured audit must produce finite relative errors.
 
-use stef::{
-    cpd_als, CpdOptions, Fault, FaultyEngine, MemoPolicy, Runtime, Stef, StefError, StefOptions,
-};
+use stef::{cpd_als, CpdOptions, Fault, FaultyEngine, MemoPolicy, Stef, StefError, StefOptions};
 use stef_bench::{parse_json, Json};
 use workloads::power_law_tensor;
 
@@ -14,10 +12,9 @@ fn test_tensor() -> sptensor::CooTensor {
     power_law_tensor(&[40, 35, 30], 3_000, &[0.6, 0.3, 0.1], 17)
 }
 
-fn engine_options(rank: usize, runtime: Runtime) -> StefOptions {
+fn engine_options(rank: usize) -> StefOptions {
     let mut o = StefOptions::new(rank);
     o.memo = MemoPolicy::SaveAll;
-    o.runtime = runtime;
     o
 }
 
@@ -30,36 +27,10 @@ fn cpd_opts(rank: usize, iters: usize) -> CpdOptions {
     }
 }
 
-fn run_cpd(runtime: Runtime) -> stef::TelemetryReport {
+fn run_cpd() -> stef::TelemetryReport {
     let t = test_tensor();
-    let mut engine = Stef::prepare(&t, engine_options(4, runtime));
+    let mut engine = Stef::prepare(&t, engine_options(4));
     cpd_als(&mut engine, &cpd_opts(4, 4)).expect("healthy run").telemetry
-}
-
-#[test]
-fn measured_counters_are_identical_across_runtimes() {
-    if !stef::telemetry::COMPILED {
-        return;
-    }
-    let pool = run_cpd(Runtime::Pool);
-    let scoped = run_cpd(Runtime::Scoped);
-    assert_eq!(pool.records.len(), 4, "one record per iteration");
-    assert_eq!(pool.records.len(), scoped.records.len());
-    for (p, s) in pool.records.iter().zip(&scoped.records) {
-        assert_eq!(p.iteration, s.iteration);
-        assert_eq!(p.modes.len(), 3);
-        assert_eq!(p.modes.len(), s.modes.len());
-        for (pm, sm) in p.modes.iter().zip(&s.modes) {
-            assert_eq!(pm.mode, sm.mode);
-            // Measured traffic is analytic (element counting over the
-            // executed path), so it cannot depend on which OS threads
-            // ran the chunks.
-            assert_eq!(pm.stats, sm.stats, "mode {} stats differ", pm.mode);
-            assert_eq!(pm.predicted, sm.predicted);
-            let st = pm.stats.as_ref().expect("stef records per-mode stats");
-            assert!(st.reads > 0.0 && st.writes > 0.0 && st.fibers > 0);
-        }
-    }
 }
 
 #[test]
@@ -67,7 +38,15 @@ fn model_audit_is_finite_and_covers_every_mode() {
     if !stef::telemetry::COMPILED {
         return;
     }
-    let report = run_cpd(Runtime::Pool);
+    let report = run_cpd();
+    assert_eq!(report.records.len(), 4, "one record per iteration");
+    for rec in &report.records {
+        assert_eq!(rec.modes.len(), 3);
+        for m in &rec.modes {
+            let st = m.stats.as_ref().expect("stef records per-mode stats");
+            assert!(st.reads > 0.0 && st.writes > 0.0 && st.fibers > 0);
+        }
+    }
     let audits = report.model_audit();
     assert_eq!(audits.len(), 3, "one audit row per mode");
     for a in &audits {
@@ -83,7 +62,7 @@ fn jsonl_export_round_trips_through_the_bench_parser() {
     if !stef::telemetry::COMPILED {
         return;
     }
-    let report = run_cpd(Runtime::Pool);
+    let report = run_cpd();
     let body = stef::telemetry::render_metrics_jsonl(&report);
     assert_eq!(body.lines().count(), report.records.len());
     for line in body.lines() {
@@ -124,7 +103,7 @@ fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
 
     // Clean traced run: spans drain into the result and are well-formed.
     stef::telemetry::set_trace_enabled(true);
-    let mut engine = Stef::prepare(&t, engine_options(3, Runtime::Pool));
+    let mut engine = Stef::prepare(&t, engine_options(3));
     let result = cpd_als(&mut engine, &cpd_opts(3, 2)).expect("traced run");
     assert!(!result.telemetry.spans.is_empty(), "traced run recorded no spans");
     for s in &result.telemetry.spans {
@@ -143,7 +122,7 @@ fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
     assert_eq!(spans_in_trace, result.telemetry.spans.len());
 
     // A worker panic mid-CPD must not leave half-open spans behind.
-    let stef = Stef::prepare(&t, engine_options(3, Runtime::Pool));
+    let stef = Stef::prepare(&t, engine_options(3));
     let exec = stef.executor().clone();
     let mut faulty = FaultyEngine::new(stef, vec![Fault::WorkerPanicOnce { at: 2, thread: 0 }])
         .with_executor(exec);
@@ -158,7 +137,7 @@ fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
     // A cancelled run likewise: every recorded span is closed.
     let token = stef::CancelToken::new();
     token.cancel();
-    let mut opts = engine_options(3, Runtime::Pool);
+    let mut opts = engine_options(3);
     opts.cancel = Some(token.clone());
     let mut engine = Stef::prepare(&t, opts);
     let mut copts = cpd_opts(3, 4);
@@ -173,7 +152,7 @@ fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
 
     // Disabling tracing stops recording entirely.
     stef::telemetry::set_trace_enabled(false);
-    let mut engine = Stef::prepare(&t, engine_options(3, Runtime::Pool));
+    let mut engine = Stef::prepare(&t, engine_options(3));
     let result = cpd_als(&mut engine, &cpd_opts(3, 2)).expect("untraced run");
     assert!(result.telemetry.spans.is_empty(), "tracing off must record nothing");
 }
@@ -184,7 +163,7 @@ fn stef2_reports_leaf_mode_telemetry() {
         return;
     }
     let t = test_tensor();
-    let mut engine = stef::Stef2::prepare(&t, engine_options(3, Runtime::Pool));
+    let mut engine = stef::Stef2::prepare(&t, engine_options(3));
     let report = cpd_als(&mut engine, &cpd_opts(3, 2)).expect("stef2 run").telemetry;
     for rec in &report.records {
         assert_eq!(rec.modes.len(), 3);
