@@ -275,8 +275,7 @@ fn main() {
 
     // Modes 1..d, both accumulation strategies. Partials are fresh: the
     // mode-0 timing lanes just rebuilt both stores with fixed factors.
-    for u in 1..d {
-        let use_saved = save[u];
+    for (u, &use_saved) in save.iter().enumerate().take(d).skip(1) {
         for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
             let mut outs: Vec<Mat> = variants
                 .iter()

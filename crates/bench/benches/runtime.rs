@@ -159,7 +159,7 @@ fn main() {
     const TASKS: usize = 64;
     const SKEW: usize = 32;
     let work = |th: usize| {
-        let units = if th % 8 == 0 { SKEW } else { 1 };
+        let units = if th.is_multiple_of(8) { SKEW } else { 1 };
         std::hint::black_box(spin_work(units));
     };
     let imb_reps = reps.min(100);

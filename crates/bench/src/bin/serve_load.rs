@@ -103,8 +103,7 @@ fn percentile(sorted_us: &[u64], p: f64) -> f64 {
 
 /// Per-op cost of the metrics hot path (one counter inc + one
 /// histogram observe behind the `enabled()` gate), measured with the
-/// registry on and off. With the `telemetry` feature compiled out both
-/// numbers collapse to the cost of one branch.
+/// registry on and off.
 fn metrics_op_cost() -> (f64, f64) {
     use std::hint::black_box;
     let c = stef::metrics::counter(

@@ -97,13 +97,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     let metrics_out = p.opt_str("metrics-out").map(String::from);
     let trace_out = p.opt_str("trace-out").map(String::from);
     let verbose = p.flag("verbose");
-    if (metrics_out.is_some() || trace_out.is_some()) && !stef::telemetry::COMPILED {
-        return Err(CliError::Usage(
-            "--metrics-out/--trace-out need the 'telemetry' cargo feature \
-             (this binary was built with --no-default-features)"
-            .into(),
-        ));
-    }
     // Span capture must be armed before the engine (and its worker
     // pool) dispatches anything we want on the trace.
     stef::telemetry::set_trace_enabled(trace_out.is_some());
@@ -305,9 +298,6 @@ mod tests {
 
     #[test]
     fn telemetry_sinks_are_written() {
-        if !stef::telemetry::COMPILED {
-            return;
-        }
         let dir = std::env::temp_dir().join("stef-cli-telemetry");
         std::fs::create_dir_all(&dir).unwrap();
         let metrics = dir.join("metrics.jsonl");

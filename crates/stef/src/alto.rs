@@ -281,9 +281,7 @@ impl crate::engine::MttkrpEngine for AltoEngine {
             &mut self.ws,
             &mut out,
         );
-        if crate::telemetry::COMPILED {
-            self.record_mode_stats(mode);
-        }
+        self.record_mode_stats(mode);
         out
     }
 
@@ -453,9 +451,6 @@ mod tests {
 
     #[test]
     fn telemetry_surface_is_populated() {
-        if !crate::telemetry::COMPILED {
-            return;
-        }
         let t = pseudo_tensor(&[12, 10, 8], 400, 12);
         let mut engine = AltoEngine::prepare(&t, StefOptions::new(4));
         let factors = rand_factors(t.dims(), 4, 13);

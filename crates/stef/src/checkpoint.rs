@@ -523,7 +523,7 @@ mod tests {
         let rebuilt = format!(
             "{}checksum {:016x}\n",
             &legacy[..body_end],
-            fnv64(legacy[..body_end].as_bytes())
+            fnv64(&legacy.as_bytes()[..body_end])
         );
         let back = Checkpoint::from_bytes(rebuilt.as_bytes()).expect("legacy load");
         assert_eq!(back, sample());

@@ -135,8 +135,7 @@ pub struct CpdResult {
     pub degradations: Vec<DegradationEvent>,
     /// Telemetry snapshot: one record per completed iteration (per-mode
     /// wall time, measured vs model-predicted traffic, alloc events)
-    /// plus any worker spans captured while tracing was enabled. Empty
-    /// when the `telemetry` feature is compiled out.
+    /// plus any worker spans captured while tracing was enabled.
     pub telemetry: TelemetryReport,
 }
 

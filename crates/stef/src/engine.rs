@@ -4,12 +4,11 @@
 //! so that the CPD driver and the benchmark harness treat them uniformly.
 
 use crate::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
-use crate::kernels_legacy;
 use crate::model::{
     best_memo_set, choose_plan, fit_memory_budget, op_count_memo_set, prefer_privatized,
     DegradationEvent, LevelProfile, MemoPlan,
 };
-use crate::options::{AccumStrategy, KernelPath, MemoPolicy, ModeSwitchPolicy, StefOptions};
+use crate::options::{AccumStrategy, MemoPolicy, ModeSwitchPolicy, StefOptions};
 use crate::partials::PartialStore;
 use crate::runtime::{Executor, RuntimeCounters};
 use crate::schedule::Schedule;
@@ -558,59 +557,35 @@ impl Stef {
         let ctx = KernelCtx::new(&self.csf, &self.sched, level_factors, self.opts.rank);
         if level == 0 {
             let mut out = Mat::zeros(self.csf.level_dims()[0], self.opts.rank);
-            match self.opts.kernel_path {
-                KernelPath::Vectorized => {
-                    let views = self.partials.shared_views();
-                    mode0_with(&ctx, &views, &self.exec, &mut self.ws, &mut out);
-                }
-                KernelPath::Legacy => {
-                    kernels_legacy::mode0_pass(&ctx, &mut self.partials, &self.exec, &mut out);
-                }
-            }
+            let views = self.partials.shared_views();
+            mode0_with(&ctx, &views, &self.exec, &mut self.ws, &mut out);
             self.partials_fresh = true;
-            if crate::telemetry::COMPILED {
-                self.record_mode_stats(0, None);
-            }
+            self.record_mode_stats(0, None);
             return out;
         }
         let accum = self.accum_by_level[level];
         let use_saved = self.partials_fresh && !self.memo_disabled;
         // The same first-saved-level lookup the kernels perform, so the
         // telemetry count reflects the path this call actually takes.
-        let saved_at = if crate::telemetry::COMPILED && use_saved {
+        let saved_at = if use_saved {
             let d = self.csf.ndim();
             (level..=d.saturating_sub(2)).find(|&k| self.partials.is_saved(k))
         } else {
             None
         };
-        let out = match self.opts.kernel_path {
-            KernelPath::Vectorized => {
-                let mut out = Mat::zeros(self.csf.level_dims()[level], self.opts.rank);
-                let views = self.partials.shared_views();
-                modeu_with(
-                    &ctx,
-                    &views,
-                    use_saved,
-                    level,
-                    accum,
-                    &self.exec,
-                    &mut self.ws,
-                    &mut out,
-                );
-                out
-            }
-            KernelPath::Legacy => kernels_legacy::modeu_pass(
-                &ctx,
-                &mut self.partials,
-                level,
-                accum,
-                use_saved,
-                &self.exec,
-            ),
-        };
-        if crate::telemetry::COMPILED {
-            self.record_mode_stats(level, saved_at);
-        }
+        let mut out = Mat::zeros(self.csf.level_dims()[level], self.opts.rank);
+        let views = self.partials.shared_views();
+        modeu_with(
+            &ctx,
+            &views,
+            use_saved,
+            level,
+            accum,
+            &self.exec,
+            &mut self.ws,
+            &mut out,
+        );
+        self.record_mode_stats(level, saved_at);
         out
     }
 
@@ -938,37 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_kernel_path_matches_reference() {
-        let t = pseudo_tensor(&[14, 11, 9], 500, 16);
-        let mut opts = StefOptions::new(4);
-        opts.kernel_path = KernelPath::Legacy;
-        let engine = Stef::prepare(&t, opts);
-        check_engine_against_reference(engine, &t, 4, 17);
-    }
-
-    #[test]
-    fn kernel_paths_agree_closely() {
-        let t = pseudo_tensor(&[14, 11, 9, 7], 700, 18);
-        let factors = rand_factors(t.dims(), 5, 19);
-        let mut vec_opts = StefOptions::new(5);
-        vec_opts.memo = MemoPolicy::SaveAll;
-        let mut leg_opts = vec_opts.clone();
-        leg_opts.kernel_path = KernelPath::Legacy;
-        let mut a = Stef::prepare(&t, vec_opts);
-        let mut b = Stef::prepare(&t, leg_opts);
-        for mode in a.sweep_order() {
-            let ga = a.mttkrp(&factors, mode);
-            let gb = b.mttkrp(&factors, mode);
-            // Bit-identical when nothing fuses (scalar dispatch, no FMA
-            // codegen); approximately equal when multiply-adds fuse.
-            let fused = cfg!(target_feature = "fma")
-                || linalg::simd::active() != linalg::simd::SimdPath::Scalar;
-            let tol = if fused { 1e-12 } else { 0.0 };
-            assert_mat_approx_eq(&ga, &gb, tol);
-        }
-    }
-
-    #[test]
     fn forced_accum_strategies_are_respected() {
         let t = pseudo_tensor(&[10, 9, 8], 400, 20);
         for (strategy, expect) in [
@@ -1025,9 +969,6 @@ mod tests {
 
     #[test]
     fn telemetry_stats_match_sweep_counters() {
-        if !crate::telemetry::COMPILED {
-            return;
-        }
         let t = pseudo_tensor(&[12, 10, 8], 500, 30);
         let mut opts = StefOptions::new(4);
         opts.memo = MemoPolicy::SaveAll;

@@ -19,12 +19,12 @@
 //!
 //! Events are dropped, never blocked on: a ring overwrites its oldest
 //! slot, and a torn read during a concurrent dump yields at worst one
-//! garbled line. With `--no-default-features` the module compiles to
-//! no-ops and the statics are dead-code-eliminated.
+//! garbled line.
 
-#![allow(dead_code)]
-
+use std::cell::Cell;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::Once;
 
 /// Coarse event kinds. Discriminants are stable (they appear in dumps).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,227 +98,186 @@ impl FlightEvent {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{FlightEvent, PathBuf};
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-    use std::sync::Once;
+/// Threads hash onto [`RINGS`] rings of [`SLOTS`] slots each; a
+/// slot is four u64 words (timestamp, kind|thread, a, b). Total
+/// footprint: 16 × 256 × 32 B = 128 KiB of static BSS.
+const RINGS: usize = 16;
+const SLOTS: usize = 256;
 
-    /// Threads hash onto [`RINGS`] rings of [`SLOTS`] slots each; a
-    /// slot is four u64 words (timestamp, kind|thread, a, b). Total
-    /// footprint: 16 × 256 × 32 B = 128 KiB of static BSS.
-    const RINGS: usize = 16;
-    const SLOTS: usize = 256;
-
-    struct Slot {
-        ns: AtomicU64,
-        kind_tid: AtomicU64,
-        a: AtomicU64,
-        b: AtomicU64,
-    }
-
-    struct Ring {
-        head: AtomicUsize,
-        slots: [Slot; SLOTS],
-    }
-
-    #[allow(clippy::declare_interior_mutable_const)]
-    const SLOT_INIT: Slot = Slot {
-        ns: AtomicU64::new(0),
-        kind_tid: AtomicU64::new(0),
-        a: AtomicU64::new(0),
-        b: AtomicU64::new(0),
-    };
-    #[allow(clippy::declare_interior_mutable_const)]
-    const RING_INIT: Ring = Ring { head: AtomicUsize::new(0), slots: [SLOT_INIT; SLOTS] };
-
-    static BUFFER: [Ring; RINGS] = [RING_INIT; RINGS];
-    static NEXT_TID: AtomicUsize = AtomicUsize::new(0);
-    static EVENTS: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        static TID: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-
-    #[inline]
-    fn tid() -> usize {
-        TID.with(|t| {
-            let v = t.get();
-            if v != usize::MAX {
-                v
-            } else {
-                let v = NEXT_TID.fetch_add(1, Relaxed);
-                t.set(v);
-                v
-            }
-        })
-    }
-
-    /// Record one event: four relaxed stores into this thread's ring.
-    #[inline]
-    pub fn record(kind: FlightEvent, a: u64, b: u64) {
-        let tid = tid();
-        let ring = &BUFFER[tid % RINGS];
-        let idx = ring.head.fetch_add(1, Relaxed) % SLOTS;
-        let slot = &ring.slots[idx];
-        slot.kind_tid.store(((kind as u64) << 32) | (tid as u64 & 0xffff_ffff), Relaxed);
-        slot.a.store(a, Relaxed);
-        slot.b.store(b, Relaxed);
-        // Timestamp last and non-zero: a zero timestamp marks an empty
-        // (or mid-write) slot, which the dump skips.
-        slot.ns.store(crate::runtime::now_ns(), Relaxed);
-        EVENTS.fetch_add(1, Relaxed);
-    }
-
-    /// Number of events recorded since process start (monotonic; the
-    /// buffer itself holds at most the last `RINGS × SLOTS`).
-    pub fn events_recorded() -> u64 {
-        EVENTS.load(Relaxed)
-    }
-
-    /// Render the merged, time-ordered buffer contents. Allocates —
-    /// dump path only.
-    pub fn dump_string(reason: &str) -> String {
-        let mut rows: Vec<(u64, u64, u64, u64)> = Vec::with_capacity(RINGS * SLOTS);
-        for ring in &BUFFER {
-            for slot in &ring.slots {
-                let ns = slot.ns.load(Relaxed);
-                if ns == 0 {
-                    continue;
-                }
-                rows.push((ns, slot.kind_tid.load(Relaxed), slot.a.load(Relaxed), slot.b.load(Relaxed)));
-            }
-        }
-        rows.sort_unstable();
-        let mut out = String::with_capacity(64 + rows.len() * 64);
-        out.push_str(&format!(
-            "# stef flight recorder dump: reason={reason} pid={} events_recorded={} retained={}\n\
-             # columns: elapsed_s thread kind a b\n",
-            std::process::id(),
-            events_recorded(),
-            rows.len(),
-        ));
-        for (ns, kind_tid, a, b) in rows {
-            let tid = kind_tid & 0xffff_ffff;
-            let kind = FlightEvent::from_u8((kind_tid >> 32) as u8);
-            let secs = ns as f64 * 1e-9;
-            match kind {
-                Some(k @ FlightEvent::IterDone) => {
-                    out.push_str(&format!(
-                        "{secs:.6} t{tid} {} iter={a} fit={:.6}\n",
-                        k.name(),
-                        f64::from_bits(b)
-                    ));
-                }
-                Some(k @ (FlightEvent::ModeSweep | FlightEvent::Http)) => {
-                    out.push_str(&format!(
-                        "{secs:.6} t{tid} {} a={a} dt={:.6}s\n",
-                        k.name(),
-                        b as f64 * 1e-9
-                    ));
-                }
-                Some(k @ FlightEvent::WorkerPanic) if a == u64::MAX => {
-                    out.push_str(&format!("{secs:.6} t{tid} {} at-hook\n", k.name()));
-                }
-                Some(k) => {
-                    out.push_str(&format!("{secs:.6} t{tid} {} a={a} b={b}\n", k.name()));
-                }
-                None => {
-                    out.push_str(&format!("{secs:.6} t{tid} ?kind a={a} b={b}\n"));
-                }
-            }
-        }
-        out
-    }
-
-    /// Write a dump to `$STEF_FLIGHT_DIR` (default: the OS temp dir)
-    /// and return the path. Returns `None` when nothing was ever
-    /// recorded (no file litter for trivial CLI errors) or the write
-    /// fails — the dump path must never panic.
-    pub fn dump(reason: &str) -> Option<PathBuf> {
-        if events_recorded() == 0 {
-            return None;
-        }
-        let dir = std::env::var_os("STEF_FLIGHT_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        let path = dir.join(format!("stef-flight-{}-{reason}.log", std::process::id()));
-        std::fs::write(&path, dump_string(reason)).ok()?;
-        Some(path)
-    }
-
-    static DUMP_REQ: AtomicBool = AtomicBool::new(false);
-
-    /// Async-signal-safe: one relaxed store. Called from the SIGUSR1
-    /// handler; serviced by whichever poll loop sees it first.
-    pub fn request_dump() {
-        DUMP_REQ.store(true, Relaxed);
-    }
-
-    /// Consume a pending dump request (at most one poller wins).
-    pub fn take_dump_request() -> bool {
-        DUMP_REQ.swap(false, Relaxed)
-    }
-
-    static HOOK: Once = Once::new();
-
-    /// Chain a panic hook that dumps the flight buffer before the
-    /// previous hook runs. Idempotent. The hook fires at `panic!` time,
-    /// so panics later healed by the worker pool's `catch_unwind`
-    /// still leave a dump behind.
-    pub fn install_panic_hook() {
-        HOOK.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                // Stamp the panic itself: the pool's own WorkerPanic
-                // record only lands after catch_unwind heals the
-                // unwind — too late for this dump, which must show the
-                // event being diagnosed as its last line.
-                record(FlightEvent::WorkerPanic, u64::MAX, 0);
-                if let Some(path) = dump("panic") {
-                    eprintln!("stef: flight recorder dump: {}", path.display());
-                }
-                prev(info);
-            }));
-        });
-    }
+struct Slot {
+    ns: AtomicU64,
+    kind_tid: AtomicU64,
+    a: AtomicU64,
+    b: AtomicU64,
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::{FlightEvent, PathBuf};
-
-    #[inline]
-    pub fn record(_kind: FlightEvent, _a: u64, _b: u64) {}
-
-    pub fn events_recorded() -> u64 {
-        0
-    }
-
-    pub fn dump_string(_reason: &str) -> String {
-        String::new()
-    }
-
-    pub fn dump(_reason: &str) -> Option<PathBuf> {
-        None
-    }
-
-    pub fn request_dump() {}
-
-    pub fn take_dump_request() -> bool {
-        false
-    }
-
-    pub fn install_panic_hook() {}
+struct Ring {
+    head: AtomicUsize,
+    slots: [Slot; SLOTS],
 }
 
-pub use imp::{
-    dump, dump_string, events_recorded, install_panic_hook, record, request_dump,
-    take_dump_request,
+#[allow(clippy::declare_interior_mutable_const)]
+const SLOT_INIT: Slot = Slot {
+    ns: AtomicU64::new(0),
+    kind_tid: AtomicU64::new(0),
+    a: AtomicU64::new(0),
+    b: AtomicU64::new(0),
 };
+#[allow(clippy::declare_interior_mutable_const)]
+const RING_INIT: Ring = Ring { head: AtomicUsize::new(0), slots: [SLOT_INIT; SLOTS] };
 
-#[cfg(all(test, feature = "telemetry"))]
+static BUFFER: [Ring; RINGS] = [RING_INIT; RINGS];
+static NEXT_TID: AtomicUsize = AtomicUsize::new(0);
+static EVENTS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static TID: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+#[inline]
+fn tid() -> usize {
+    TID.with(|t| {
+        let v = t.get();
+        if v != usize::MAX {
+            v
+        } else {
+            let v = NEXT_TID.fetch_add(1, Relaxed);
+            t.set(v);
+            v
+        }
+    })
+}
+
+/// Record one event: four relaxed stores into this thread's ring.
+#[inline]
+pub fn record(kind: FlightEvent, a: u64, b: u64) {
+    let tid = tid();
+    let ring = &BUFFER[tid % RINGS];
+    let idx = ring.head.fetch_add(1, Relaxed) % SLOTS;
+    let slot = &ring.slots[idx];
+    slot.kind_tid.store(((kind as u64) << 32) | (tid as u64 & 0xffff_ffff), Relaxed);
+    slot.a.store(a, Relaxed);
+    slot.b.store(b, Relaxed);
+    // Timestamp last and non-zero: a zero timestamp marks an empty
+    // (or mid-write) slot, which the dump skips.
+    slot.ns.store(crate::runtime::now_ns(), Relaxed);
+    EVENTS.fetch_add(1, Relaxed);
+}
+
+/// Number of events recorded since process start (monotonic; the
+/// buffer itself holds at most the last `RINGS × SLOTS`).
+pub fn events_recorded() -> u64 {
+    EVENTS.load(Relaxed)
+}
+
+/// Render the merged, time-ordered buffer contents. Allocates —
+/// dump path only.
+pub fn dump_string(reason: &str) -> String {
+    let mut rows: Vec<(u64, u64, u64, u64)> = Vec::with_capacity(RINGS * SLOTS);
+    for ring in &BUFFER {
+        for slot in &ring.slots {
+            let ns = slot.ns.load(Relaxed);
+            if ns == 0 {
+                continue;
+            }
+            rows.push((ns, slot.kind_tid.load(Relaxed), slot.a.load(Relaxed), slot.b.load(Relaxed)));
+        }
+    }
+    rows.sort_unstable();
+    let mut out = String::with_capacity(64 + rows.len() * 64);
+    out.push_str(&format!(
+        "# stef flight recorder dump: reason={reason} pid={} events_recorded={} retained={}\n\
+         # columns: elapsed_s thread kind a b\n",
+        std::process::id(),
+        events_recorded(),
+        rows.len(),
+    ));
+    for (ns, kind_tid, a, b) in rows {
+        let tid = kind_tid & 0xffff_ffff;
+        let kind = FlightEvent::from_u8((kind_tid >> 32) as u8);
+        let secs = ns as f64 * 1e-9;
+        match kind {
+            Some(k @ FlightEvent::IterDone) => {
+                out.push_str(&format!(
+                    "{secs:.6} t{tid} {} iter={a} fit={:.6}\n",
+                    k.name(),
+                    f64::from_bits(b)
+                ));
+            }
+            Some(k @ (FlightEvent::ModeSweep | FlightEvent::Http)) => {
+                out.push_str(&format!(
+                    "{secs:.6} t{tid} {} a={a} dt={:.6}s\n",
+                    k.name(),
+                    b as f64 * 1e-9
+                ));
+            }
+            Some(k @ FlightEvent::WorkerPanic) if a == u64::MAX => {
+                out.push_str(&format!("{secs:.6} t{tid} {} at-hook\n", k.name()));
+            }
+            Some(k) => {
+                out.push_str(&format!("{secs:.6} t{tid} {} a={a} b={b}\n", k.name()));
+            }
+            None => {
+                out.push_str(&format!("{secs:.6} t{tid} ?kind a={a} b={b}\n"));
+            }
+        }
+    }
+    out
+}
+
+/// Write a dump to `$STEF_FLIGHT_DIR` (default: the OS temp dir)
+/// and return the path. Returns `None` when nothing was ever
+/// recorded (no file litter for trivial CLI errors) or the write
+/// fails — the dump path must never panic.
+pub fn dump(reason: &str) -> Option<PathBuf> {
+    if events_recorded() == 0 {
+        return None;
+    }
+    let dir = std::env::var_os("STEF_FLIGHT_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(std::env::temp_dir);
+    let path = dir.join(format!("stef-flight-{}-{reason}.log", std::process::id()));
+    std::fs::write(&path, dump_string(reason)).ok()?;
+    Some(path)
+}
+
+static DUMP_REQ: AtomicBool = AtomicBool::new(false);
+
+/// Async-signal-safe: one relaxed store. Called from the SIGUSR1
+/// handler; serviced by whichever poll loop sees it first.
+pub fn request_dump() {
+    DUMP_REQ.store(true, Relaxed);
+}
+
+/// Consume a pending dump request (at most one poller wins).
+pub fn take_dump_request() -> bool {
+    DUMP_REQ.swap(false, Relaxed)
+}
+
+static HOOK: Once = Once::new();
+
+/// Chain a panic hook that dumps the flight buffer before the
+/// previous hook runs. Idempotent. The hook fires at `panic!` time,
+/// so panics later healed by the worker pool's `catch_unwind`
+/// still leave a dump behind.
+pub fn install_panic_hook() {
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            // Stamp the panic itself: the pool's own WorkerPanic
+            // record only lands after catch_unwind heals the
+            // unwind — too late for this dump, which must show the
+            // event being diagnosed as its last line.
+            record(FlightEvent::WorkerPanic, u64::MAX, 0);
+            if let Some(path) = dump("panic") {
+                eprintln!("stef: flight recorder dump: {}", path.display());
+            }
+            prev(info);
+        }));
+    });
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

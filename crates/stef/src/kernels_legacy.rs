@@ -8,14 +8,13 @@
 //!
 //! 1. **A/B benchmarking** — `BENCH_mttkrp.json` records this path next
 //!    to the vectorized one so the perf trajectory has an honest
-//!    baseline ([`crate::options::KernelPath::Legacy`] selects it at the
-//!    engine level);
+//!    baseline (the mttkrp bench calls it directly; no engine runs it);
 //! 2. **differential testing** — the rewritten kernels are property-
 //!    tested against this implementation bit-for-bit (without FMA) and
 //!    to 1e-12 against the paper transcriptions.
 //!
 //! Do not optimize this file; its value is being exactly what shipped
-//! before the kernel rewrite. Its fan-outs run on the engine's
+//! before the kernel rewrite. Its fan-outs run on the caller's
 //! [`Executor`], one task per logical thread.
 
 use crate::kernels::{KernelCtx, ResolvedAccum};

@@ -81,8 +81,8 @@ pub use recover::{RecoveryAction, RecoveryEvent, RecoveryEvents, RecoveryPolicy}
 pub use model::{stef2_leaf_gain, BudgetFit, DegradationEvent, LevelProfile, MemoPlan, RawTraffic};
 pub use nonneg::{cpd_mu_nonneg, NonnegCpdResult};
 pub use options::{
-    AccumStrategy, EngineChoice, KernelPath, LoadBalance, MemoPolicy, ModeSwitchPolicy, SimdPath,
-    SimdPolicy, StefOptions,
+    AccumStrategy, EngineChoice, LoadBalance, MemoPolicy, ModeSwitchPolicy, SimdPath, SimdPolicy,
+    StefOptions,
 };
 pub use partials::PartialStore;
 pub use runtime::{

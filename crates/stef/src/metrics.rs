@@ -2,8 +2,8 @@
 //!
 //! Counters, gauges and fixed-bucket histograms for the long-running
 //! service surfaces (runtime, kernels, supervisor, HTTP). The design
-//! budget is the same as [`crate::telemetry`]'s: a *disabled* or
-//! compiled-out registry must cost nothing on the hot path, and an
+//! budget is the same as [`crate::telemetry`]'s: a *disabled*
+//! registry must cost nothing on the hot path, and an
 //! *enabled* one must cost a handful of relaxed `fetch_add`s — never a
 //! lock, never an allocation.
 //!
@@ -16,24 +16,18 @@
 //!   [`MAX_SERIES_PER_FAMILY`] series; registrations past the cap
 //!   collapse into a single `overflow="true"` series so a hostile
 //!   label source cannot grow memory without bound.
-//! - **Gating**: everything is `#[cfg(feature = "telemetry")]`. With
-//!   `--no-default-features` the same API compiles to empty inline
-//!   no-ops and the whole registry is dead-code-eliminated. At runtime
-//!   a relaxed [`enabled`] flag (checked *before* any clock read)
-//!   turns instrumentation off without recompiling — the overhead
-//!   bench uses it to measure on-vs-off per-op cost.
+//! - **Gating**: a relaxed [`enabled`] flag, checked *before* any
+//!   clock read, turns instrumentation off at run time
+//!   ([`set_enabled`]) — the overhead bench uses it to measure
+//!   on-vs-off per-op cost.
 //!
 //! The Prometheus text parser ([`parse_prometheus_text`]) and the
-//! bucket-quantile helper are compiled unconditionally: `stef top` and
-//! `validate_telemetry` consume scrapes even when the producer was
-//! built without telemetry.
+//! bucket-quantile helper serve the scrape consumers, `stef top` and
+//! `validate_telemetry`.
 
-#![allow(dead_code)]
-
-/// True when the crate was built with the `telemetry` feature; the
-/// registry, flight recorder and every instrumentation site compile to
-/// no-ops otherwise.
-pub const COMPILED: bool = cfg!(feature = "telemetry");
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
 /// Hard cap on distinct label sets per metric family. Registrations
 /// past the cap share one `overflow="true"` series.
@@ -83,825 +77,685 @@ pub(crate) fn status_label(status: u16) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Real implementation (telemetry feature on)
+// Registry
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{MAX_SERIES_PER_FAMILY, TIME_BUCKETS};
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-    use std::sync::Mutex;
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-    static ENABLED: AtomicBool = AtomicBool::new(true);
+/// Runtime on/off switch. Off: every increment returns after one
+/// relaxed load, before any clock read at the call site.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Relaxed);
+}
 
-    /// Runtime on/off switch. Off: every increment returns after one
-    /// relaxed load, before any clock read at the call site.
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Relaxed);
+#[inline]
+pub fn enabled() -> bool {
+    ENABLED.load(Relaxed)
+}
+
+const SHARDS: usize = 8;
+
+#[repr(align(64))]
+struct Cell64(AtomicU64);
+
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+#[inline]
+fn shard_idx() -> usize {
+    SHARD.with(|s| {
+        let v = s.get();
+        if v != usize::MAX {
+            v
+        } else {
+            let v = NEXT_SHARD.fetch_add(1, Relaxed) % SHARDS;
+            s.set(v);
+            v
+        }
+    })
+}
+
+/// Monotonic counter: increments are one relaxed `fetch_add` on a
+/// per-thread-sharded, cache-line-padded cell.
+pub struct Counter {
+    cells: [Cell64; SHARDS],
+}
+
+impl Counter {
+    const fn new() -> Self {
+        Counter {
+            cells: [const { Cell64(AtomicU64::new(0)) }; SHARDS],
+        }
     }
 
     #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Relaxed)
-    }
-
-    const SHARDS: usize = 8;
-
-    #[repr(align(64))]
-    struct Cell64(AtomicU64);
-
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+    pub fn inc(&self) {
+        self.add(1);
     }
 
     #[inline]
-    fn shard_idx() -> usize {
-        SHARD.with(|s| {
-            let v = s.get();
-            if v != usize::MAX {
-                v
-            } else {
-                let v = NEXT_SHARD.fetch_add(1, Relaxed) % SHARDS;
-                s.set(v);
-                v
-            }
-        })
-    }
-
-    /// Monotonic counter: increments are one relaxed `fetch_add` on a
-    /// per-thread-sharded, cache-line-padded cell.
-    pub struct Counter {
-        cells: [Cell64; SHARDS],
-    }
-
-    impl Counter {
-        const fn new() -> Self {
-            Counter {
-                cells: [const { Cell64(AtomicU64::new(0)) }; SHARDS],
-            }
-        }
-
-        #[inline]
-        pub fn inc(&self) {
-            self.add(1);
-        }
-
-        #[inline]
-        pub fn add(&self, n: u64) {
-            if !enabled() {
-                return;
-            }
-            self.cells[shard_idx()].0.fetch_add(n, Relaxed);
-        }
-
-        pub fn value(&self) -> u64 {
-            self.cells.iter().map(|c| c.0.load(Relaxed)).sum()
-        }
-    }
-
-    /// Last-write-wins gauge storing `f64` bits. Gauges are sampled at
-    /// scrape/flush time (cold path) so a single cell suffices.
-    pub struct Gauge {
-        bits: AtomicU64,
-    }
-
-    impl Gauge {
-        const fn new() -> Self {
-            Gauge { bits: AtomicU64::new(0) }
-        }
-
-        #[inline]
-        pub fn set(&self, v: f64) {
-            if !enabled() {
-                return;
-            }
-            self.bits.store(v.to_bits(), Relaxed);
-        }
-
-        pub fn value(&self) -> f64 {
-            f64::from_bits(self.bits.load(Relaxed))
-        }
-    }
-
-    /// Fixed-bucket histogram of *seconds*. An observation is three
-    /// relaxed `fetch_add`s (bucket, nanosecond sum, count); the bucket
-    /// scan is a linear pass over ≤ 16 bounds.
-    pub struct Histogram {
-        bounds: &'static [f64],
-        buckets: Box<[AtomicU64]>,
-        sum_nanos: AtomicU64,
-        count: AtomicU64,
-    }
-
-    impl Histogram {
-        fn new(bounds: &'static [f64]) -> Self {
-            let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-            Histogram {
-                bounds,
-                buckets,
-                sum_nanos: AtomicU64::new(0),
-                count: AtomicU64::new(0),
-            }
-        }
-
-        #[inline]
-        pub fn observe(&self, seconds: f64) {
-            if !enabled() {
-                return;
-            }
-            let mut idx = self.bounds.len();
-            for (i, b) in self.bounds.iter().enumerate() {
-                if seconds <= *b {
-                    idx = i;
-                    break;
-                }
-            }
-            self.buckets[idx].fetch_add(1, Relaxed);
-            self.sum_nanos
-                .fetch_add((seconds.max(0.0) * 1e9) as u64, Relaxed);
-            self.count.fetch_add(1, Relaxed);
-        }
-
-        #[inline]
-        pub fn observe_ns(&self, nanos: u64) {
-            self.observe(nanos as f64 * 1e-9);
-        }
-
-        pub fn count(&self) -> u64 {
-            self.count.load(Relaxed)
-        }
-
-        pub fn sum_seconds(&self) -> f64 {
-            self.sum_nanos.load(Relaxed) as f64 * 1e-9
-        }
-
-        /// (upper-bound, cumulative-count) pairs ending with `+Inf`.
-        pub fn cumulative(&self) -> Vec<(f64, u64)> {
-            let mut cum = 0u64;
-            let mut out = Vec::with_capacity(self.buckets.len());
-            for (i, b) in self.buckets.iter().enumerate() {
-                cum += b.load(Relaxed);
-                let le = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-                out.push((le, cum));
-            }
-            out
-        }
-    }
-
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum Kind {
-        Counter,
-        Gauge,
-        Histogram,
-    }
-
-    #[derive(Clone, Copy)]
-    enum Metric {
-        Counter(&'static Counter),
-        Gauge(&'static Gauge),
-        Histogram(&'static Histogram),
-    }
-
-    struct Series {
-        labels: Vec<(String, String)>,
-        metric: Metric,
-    }
-
-    struct Family {
-        name: &'static str,
-        help: &'static str,
-        kind: Kind,
-        bounds: &'static [f64],
-        series: Vec<Series>,
-    }
-
-    static REGISTRY: Mutex<Vec<Family>> = Mutex::new(Vec::new());
-
-    const OVERFLOW_LABELS: &[(&str, &str)] = &[("overflow", "true")];
-
-    fn register(
-        name: &'static str,
-        help: &'static str,
-        kind: Kind,
-        bounds: &'static [f64],
-        labels: &[(&str, &str)],
-    ) -> Metric {
-        let mut reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-        let fidx = match reg.iter().position(|f| f.name == name) {
-            Some(i) => i,
-            None => {
-                reg.push(Family { name, help, kind, bounds, series: Vec::new() });
-                reg.len() - 1
-            }
-        };
-        // A name reused with a different kind is a programming error;
-        // fall back to the overflow series of the existing family so
-        // release builds stay up.
-        debug_assert!(reg[fidx].kind == kind, "metric {name} re-registered with new kind");
-        let effective: &[(&str, &str)] =
-            if reg[fidx].kind != kind || reg[fidx].series.len() >= MAX_SERIES_PER_FAMILY {
-                OVERFLOW_LABELS
-            } else {
-                labels
-            };
-        let family = &mut reg[fidx];
-        let found = family.series.iter().position(|s| {
-            s.labels.len() == effective.len()
-                && s.labels
-                    .iter()
-                    .zip(effective.iter())
-                    .all(|((k, v), (ek, ev))| k == ek && v == ev)
-        });
-        let sidx = match found {
-            Some(i) => i,
-            None => {
-                let metric = match family.kind {
-                    Kind::Counter => Metric::Counter(Box::leak(Box::new(Counter::new()))),
-                    Kind::Gauge => Metric::Gauge(Box::leak(Box::new(Gauge::new()))),
-                    Kind::Histogram => {
-                        Metric::Histogram(Box::leak(Box::new(Histogram::new(family.bounds))))
-                    }
-                };
-                family.series.push(Series {
-                    labels: effective
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.to_string()))
-                        .collect(),
-                    metric,
-                });
-                family.series.len() - 1
-            }
-        };
-        // The metric cells are leaked (&'static), so the enum itself
-        // can be handed out by value even though the series Vec may
-        // reallocate on later registrations.
-        family.series[sidx].metric
-    }
-
-    /// Register (or look up) a counter series. Takes a lock and may
-    /// allocate — call at construction time and keep the handle.
-    pub fn counter(
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-    ) -> &'static Counter {
-        match register(name, help, Kind::Counter, &[], labels) {
-            Metric::Counter(c) => c,
-            _ => unreachable!("kind mismatch handled in register"),
-        }
-    }
-
-    /// Register (or look up) a gauge series.
-    pub fn gauge(name: &'static str, help: &'static str, labels: &[(&str, &str)]) -> &'static Gauge {
-        match register(name, help, Kind::Gauge, &[], labels) {
-            Metric::Gauge(g) => g,
-            _ => unreachable!("kind mismatch handled in register"),
-        }
-    }
-
-    /// Register (or look up) a histogram series with the given bucket
-    /// bounds (seconds). Bounds are fixed per family; the first
-    /// registration wins.
-    pub fn histogram(
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-        bounds: &'static [f64],
-    ) -> &'static Histogram {
-        match register(name, help, Kind::Histogram, bounds, labels) {
-            Metric::Histogram(h) => h,
-            _ => unreachable!("kind mismatch handled in register"),
-        }
-    }
-
-    fn escape_label(v: &str, out: &mut String) {
-        for c in v.chars() {
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn write_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
-        if labels.is_empty() && extra.is_none() {
+    pub fn add(&self, n: u64) {
+        if !enabled() {
             return;
         }
-        out.push('{');
-        let mut first = true;
-        for (k, v) in labels {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_label(v, out);
-            out.push('"');
-        }
-        if let Some((k, v)) = extra {
-            if !first {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_label(v, out);
-            out.push('"');
-        }
-        out.push('}');
+        self.cells[shard_idx()].0.fetch_add(n, Relaxed);
     }
 
-    fn fmt_f64(v: f64) -> String {
-        if v == f64::INFINITY {
-            "+Inf".into()
-        } else if v == f64::NEG_INFINITY {
-            "-Inf".into()
-        } else if v.is_nan() {
-            "NaN".into()
-        } else if v == v.trunc() && v.abs() < 1e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v}")
+    pub fn value(&self) -> u64 {
+        self.cells.iter().map(|c| c.0.load(Relaxed)).sum()
+    }
+}
+
+/// Last-write-wins gauge storing `f64` bits. Gauges are sampled at
+/// scrape/flush time (cold path) so a single cell suffices.
+pub struct Gauge {
+    bits: AtomicU64,
+}
+
+impl Gauge {
+    const fn new() -> Self {
+        Gauge { bits: AtomicU64::new(0) }
+    }
+
+    #[inline]
+    pub fn set(&self, v: f64) {
+        if !enabled() {
+            return;
+        }
+        self.bits.store(v.to_bits(), Relaxed);
+    }
+
+    pub fn value(&self) -> f64 {
+        f64::from_bits(self.bits.load(Relaxed))
+    }
+}
+
+/// Fixed-bucket histogram of *seconds*. An observation is three
+/// relaxed `fetch_add`s (bucket, nanosecond sum, count); the bucket
+/// scan is a linear pass over ≤ 16 bounds.
+pub struct Histogram {
+    bounds: &'static [f64],
+    buckets: Box<[AtomicU64]>,
+    sum_nanos: AtomicU64,
+    count: AtomicU64,
+}
+
+impl Histogram {
+    fn new(bounds: &'static [f64]) -> Self {
+        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+        Histogram {
+            bounds,
+            buckets,
+            sum_nanos: AtomicU64::new(0),
+            count: AtomicU64::new(0),
         }
     }
 
-    /// Render the whole registry in Prometheus text exposition format
-    /// 0.0.4. Families are sorted by name so output is deterministic.
-    pub fn render_prometheus() -> String {
-        let reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-        let mut order: Vec<usize> = (0..reg.len()).collect();
-        order.sort_by_key(|&i| reg[i].name);
-        let mut out = String::with_capacity(4096);
-        for i in order {
-            let f = &reg[i];
-            out.push_str("# HELP ");
-            out.push_str(f.name);
-            out.push(' ');
-            out.push_str(&f.help.replace('\\', "\\\\").replace('\n', "\\n"));
-            out.push('\n');
-            out.push_str("# TYPE ");
-            out.push_str(f.name);
-            out.push(' ');
-            out.push_str(match f.kind {
-                Kind::Counter => "counter",
-                Kind::Gauge => "gauge",
-                Kind::Histogram => "histogram",
-            });
-            out.push('\n');
-            for s in &f.series {
-                match &s.metric {
-                    Metric::Counter(c) => {
-                        out.push_str(f.name);
-                        write_labels(&mut out, &s.labels, None);
-                        out.push(' ');
-                        out.push_str(&fmt_f64(c.value() as f64));
-                        out.push('\n');
-                    }
-                    Metric::Gauge(g) => {
-                        out.push_str(f.name);
-                        write_labels(&mut out, &s.labels, None);
-                        out.push(' ');
-                        out.push_str(&fmt_f64(g.value()));
-                        out.push('\n');
-                    }
-                    Metric::Histogram(h) => {
-                        for (le, cum) in h.cumulative() {
-                            out.push_str(f.name);
-                            out.push_str("_bucket");
-                            write_labels(&mut out, &s.labels, Some(("le", &fmt_f64(le))));
-                            out.push(' ');
-                            out.push_str(&fmt_f64(cum as f64));
-                            out.push('\n');
-                        }
-                        out.push_str(f.name);
-                        out.push_str("_sum");
-                        write_labels(&mut out, &s.labels, None);
-                        out.push(' ');
-                        out.push_str(&fmt_f64(h.sum_seconds()));
-                        out.push('\n');
-                        out.push_str(f.name);
-                        out.push_str("_count");
-                        write_labels(&mut out, &s.labels, None);
-                        out.push(' ');
-                        out.push_str(&fmt_f64(h.count() as f64));
-                        out.push('\n');
-                    }
-                }
+    #[inline]
+    pub fn observe(&self, seconds: f64) {
+        if !enabled() {
+            return;
+        }
+        let mut idx = self.bounds.len();
+        for (i, b) in self.bounds.iter().enumerate() {
+            if seconds <= *b {
+                idx = i;
+                break;
             }
+        }
+        self.buckets[idx].fetch_add(1, Relaxed);
+        self.sum_nanos
+            .fetch_add((seconds.max(0.0) * 1e9) as u64, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+    }
+
+    #[inline]
+    pub fn observe_ns(&self, nanos: u64) {
+        self.observe(nanos as f64 * 1e-9);
+    }
+
+    pub fn count(&self) -> u64 {
+        self.count.load(Relaxed)
+    }
+
+    pub fn sum_seconds(&self) -> f64 {
+        self.sum_nanos.load(Relaxed) as f64 * 1e-9
+    }
+
+    /// (upper-bound, cumulative-count) pairs ending with `+Inf`.
+    pub fn cumulative(&self) -> Vec<(f64, u64)> {
+        let mut cum = 0u64;
+        let mut out = Vec::with_capacity(self.buckets.len());
+        for (i, b) in self.buckets.iter().enumerate() {
+            cum += b.load(Relaxed);
+            let le = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
+            out.push((le, cum));
         }
         out
     }
+}
 
-    /// Render one JSONL flush record (`{"schema":2,"kind":"metrics_flush",...}`)
-    /// for the periodic supervisor metrics sink. Histograms flatten to
-    /// `_count`, `_sum_seconds` and a `_p99` estimate.
-    pub fn render_flush_jsonl(uptime_s: f64) -> String {
-        let reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out = String::with_capacity(2048);
-        out.push_str(&format!(
-            "{{\"schema\":2,\"kind\":\"metrics_flush\",\"uptime_s\":{uptime_s:.3},\"samples\":["
-        ));
-        let mut first = true;
-        let push_sample =
-            |out: &mut String, first: &mut bool, name: &str, labels: &[(String, String)], v: f64| {
-                if !v.is_finite() {
-                    return;
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+#[derive(Clone, Copy)]
+enum Metric {
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    Histogram(&'static Histogram),
+}
+
+struct Series {
+    labels: Vec<(String, String)>,
+    metric: Metric,
+}
+
+struct Family {
+    name: &'static str,
+    help: &'static str,
+    kind: Kind,
+    bounds: &'static [f64],
+    series: Vec<Series>,
+}
+
+static REGISTRY: Mutex<Vec<Family>> = Mutex::new(Vec::new());
+
+const OVERFLOW_LABELS: &[(&str, &str)] = &[("overflow", "true")];
+
+fn register(
+    name: &'static str,
+    help: &'static str,
+    kind: Kind,
+    bounds: &'static [f64],
+    labels: &[(&str, &str)],
+) -> Metric {
+    let mut reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+    let fidx = match reg.iter().position(|f| f.name == name) {
+        Some(i) => i,
+        None => {
+            reg.push(Family { name, help, kind, bounds, series: Vec::new() });
+            reg.len() - 1
+        }
+    };
+    // A name reused with a different kind is a programming error;
+    // fall back to the overflow series of the existing family so
+    // release builds stay up.
+    debug_assert!(reg[fidx].kind == kind, "metric {name} re-registered with new kind");
+    let effective: &[(&str, &str)] =
+        if reg[fidx].kind != kind || reg[fidx].series.len() >= MAX_SERIES_PER_FAMILY {
+            OVERFLOW_LABELS
+        } else {
+            labels
+        };
+    let family = &mut reg[fidx];
+    let found = family.series.iter().position(|s| {
+        s.labels.len() == effective.len()
+            && s.labels
+                .iter()
+                .zip(effective.iter())
+                .all(|((k, v), (ek, ev))| k == ek && v == ev)
+    });
+    let sidx = match found {
+        Some(i) => i,
+        None => {
+            let metric = match family.kind {
+                Kind::Counter => Metric::Counter(Box::leak(Box::new(Counter::new()))),
+                Kind::Gauge => Metric::Gauge(Box::leak(Box::new(Gauge::new()))),
+                Kind::Histogram => {
+                    Metric::Histogram(Box::leak(Box::new(Histogram::new(family.bounds))))
                 }
-                if !*first {
+            };
+            family.series.push(Series {
+                labels: effective
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                metric,
+            });
+            family.series.len() - 1
+        }
+    };
+    // The metric cells are leaked (&'static), so the enum itself
+    // can be handed out by value even though the series Vec may
+    // reallocate on later registrations.
+    family.series[sidx].metric
+}
+
+/// Register (or look up) a counter series. Takes a lock and may
+/// allocate — call at construction time and keep the handle.
+pub fn counter(
+    name: &'static str,
+    help: &'static str,
+    labels: &[(&str, &str)],
+) -> &'static Counter {
+    match register(name, help, Kind::Counter, &[], labels) {
+        Metric::Counter(c) => c,
+        _ => unreachable!("kind mismatch handled in register"),
+    }
+}
+
+/// Register (or look up) a gauge series.
+pub fn gauge(name: &'static str, help: &'static str, labels: &[(&str, &str)]) -> &'static Gauge {
+    match register(name, help, Kind::Gauge, &[], labels) {
+        Metric::Gauge(g) => g,
+        _ => unreachable!("kind mismatch handled in register"),
+    }
+}
+
+/// Register (or look up) a histogram series with the given bucket
+/// bounds (seconds). Bounds are fixed per family; the first
+/// registration wins.
+pub fn histogram(
+    name: &'static str,
+    help: &'static str,
+    labels: &[(&str, &str)],
+    bounds: &'static [f64],
+) -> &'static Histogram {
+    match register(name, help, Kind::Histogram, bounds, labels) {
+        Metric::Histogram(h) => h,
+        _ => unreachable!("kind mismatch handled in register"),
+    }
+}
+
+fn escape_label(v: &str, out: &mut String) {
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+}
+
+fn write_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
+    if labels.is_empty() && extra.is_none() {
+        return;
+    }
+    out.push('{');
+    let mut first = true;
+    for (k, v) in labels {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_label(v, out);
+        out.push('"');
+    }
+    if let Some((k, v)) = extra {
+        if !first {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_label(v, out);
+        out.push('"');
+    }
+    out.push('}');
+}
+
+fn fmt_f64(v: f64) -> String {
+    if v == f64::INFINITY {
+        "+Inf".into()
+    } else if v == f64::NEG_INFINITY {
+        "-Inf".into()
+    } else if v.is_nan() {
+        "NaN".into()
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v}")
+    }
+}
+
+/// Render the whole registry in Prometheus text exposition format
+/// 0.0.4. Families are sorted by name so output is deterministic.
+pub fn render_prometheus() -> String {
+    let reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+    let mut order: Vec<usize> = (0..reg.len()).collect();
+    order.sort_by_key(|&i| reg[i].name);
+    let mut out = String::with_capacity(4096);
+    for i in order {
+        let f = &reg[i];
+        out.push_str("# HELP ");
+        out.push_str(f.name);
+        out.push(' ');
+        out.push_str(&f.help.replace('\\', "\\\\").replace('\n', "\\n"));
+        out.push('\n');
+        out.push_str("# TYPE ");
+        out.push_str(f.name);
+        out.push(' ');
+        out.push_str(match f.kind {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        });
+        out.push('\n');
+        for s in &f.series {
+            match &s.metric {
+                Metric::Counter(c) => {
+                    out.push_str(f.name);
+                    write_labels(&mut out, &s.labels, None);
+                    out.push(' ');
+                    out.push_str(&fmt_f64(c.value() as f64));
+                    out.push('\n');
+                }
+                Metric::Gauge(g) => {
+                    out.push_str(f.name);
+                    write_labels(&mut out, &s.labels, None);
+                    out.push(' ');
+                    out.push_str(&fmt_f64(g.value()));
+                    out.push('\n');
+                }
+                Metric::Histogram(h) => {
+                    for (le, cum) in h.cumulative() {
+                        out.push_str(f.name);
+                        out.push_str("_bucket");
+                        write_labels(&mut out, &s.labels, Some(("le", &fmt_f64(le))));
+                        out.push(' ');
+                        out.push_str(&fmt_f64(cum as f64));
+                        out.push('\n');
+                    }
+                    out.push_str(f.name);
+                    out.push_str("_sum");
+                    write_labels(&mut out, &s.labels, None);
+                    out.push(' ');
+                    out.push_str(&fmt_f64(h.sum_seconds()));
+                    out.push('\n');
+                    out.push_str(f.name);
+                    out.push_str("_count");
+                    write_labels(&mut out, &s.labels, None);
+                    out.push(' ');
+                    out.push_str(&fmt_f64(h.count() as f64));
+                    out.push('\n');
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Render one JSONL flush record (`{"schema":2,"kind":"metrics_flush",...}`)
+/// for the periodic supervisor metrics sink. Histograms flatten to
+/// `_count`, `_sum_seconds` and a `_p99` estimate.
+pub fn render_flush_jsonl(uptime_s: f64) -> String {
+    let reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+    let mut out = String::with_capacity(2048);
+    out.push_str(&format!(
+        "{{\"schema\":2,\"kind\":\"metrics_flush\",\"uptime_s\":{uptime_s:.3},\"samples\":["
+    ));
+    let mut first = true;
+    let push_sample =
+        |out: &mut String, first: &mut bool, name: &str, labels: &[(String, String)], v: f64| {
+            if !v.is_finite() {
+                return;
+            }
+            if !*first {
+                out.push(',');
+            }
+            *first = false;
+            out.push_str("{\"name\":\"");
+            out.push_str(name);
+            out.push_str("\",\"labels\":{");
+            let mut lf = true;
+            for (k, val) in labels {
+                if !lf {
                     out.push(',');
                 }
-                *first = false;
-                out.push_str("{\"name\":\"");
-                out.push_str(name);
-                out.push_str("\",\"labels\":{");
-                let mut lf = true;
-                for (k, val) in labels {
-                    if !lf {
-                        out.push(',');
-                    }
-                    lf = false;
-                    out.push_str(&format!("\"{k}\":\"{}\"", val.replace('"', "\\\"")));
-                }
-                out.push_str(&format!("}},\"value\":{v}}}"));
-            };
-        for f in reg.iter() {
-            for s in &f.series {
-                match &s.metric {
-                    Metric::Counter(c) => {
-                        push_sample(&mut out, &mut first, f.name, &s.labels, c.value() as f64)
-                    }
-                    Metric::Gauge(g) => {
-                        push_sample(&mut out, &mut first, f.name, &s.labels, g.value())
-                    }
-                    Metric::Histogram(h) => {
-                        push_sample(
-                            &mut out,
-                            &mut first,
-                            &format!("{}_count", f.name),
-                            &s.labels,
-                            h.count() as f64,
-                        );
-                        push_sample(
-                            &mut out,
-                            &mut first,
-                            &format!("{}_sum_seconds", f.name),
-                            &s.labels,
-                            h.sum_seconds(),
-                        );
-                        let pairs: Vec<(f64, f64)> =
-                            h.cumulative().iter().map(|&(le, c)| (le, c as f64)).collect();
-                        let p99 = super::quantile_from_buckets(&pairs, 0.99);
-                        push_sample(
-                            &mut out,
-                            &mut first,
-                            &format!("{}_p99", f.name),
-                            &s.labels,
-                            p99,
-                        );
-                    }
-                }
+                lf = false;
+                out.push_str(&format!("\"{k}\":\"{}\"", val.replace('"', "\\\"")));
             }
-        }
-        out.push_str("]}");
-        out
-    }
-
-    // -- continuous §IV-C model-drift audit --------------------------------
-
-    struct DriftCell {
-        engine: String,
-        mode: usize,
-        measured: f64,
-        predicted: f64,
-        warned: bool,
-    }
-
-    static DRIFT: Mutex<Vec<DriftCell>> = Mutex::new(Vec::new());
-
-    /// Fold one finished job's measured-vs-predicted traffic for
-    /// `(engine, mode)` into the cumulative drift gauges. Logs a
-    /// `STEF_LOG` warning the first time cumulative relative error
-    /// crosses `warn_threshold` (re-arming once it falls below half).
-    pub fn record_model_drift(
-        engine: &str,
-        mode: usize,
-        measured_elems: f64,
-        predicted_elems: f64,
-        warn_threshold: f64,
-    ) {
-        if !enabled() || !measured_elems.is_finite() || !predicted_elems.is_finite() {
-            return;
-        }
-        let mut drift = DRIFT.lock().unwrap_or_else(|p| p.into_inner());
-        let idx = match drift.iter().position(|d| d.engine == engine && d.mode == mode) {
-            Some(i) => i,
-            None => {
-                if drift.len() >= MAX_SERIES_PER_FAMILY {
-                    return;
-                }
-                drift.push(DriftCell {
-                    engine: engine.to_string(),
-                    mode,
-                    measured: 0.0,
-                    predicted: 0.0,
-                    warned: false,
-                });
-                drift.len() - 1
-            }
+            out.push_str(&format!("}},\"value\":{v}}}"));
         };
-        let cell = &mut drift[idx];
-        cell.measured += measured_elems;
-        cell.predicted += predicted_elems;
-        let rel = crate::model::drift_rel_err(cell.measured, cell.predicted);
-        let mode_l = super::mode_label(mode);
-        gauge(
-            "stef_model_drift_rel_err",
-            "Cumulative relative error of Sec. IV-C predicted vs measured traffic",
-            &[("engine", engine), ("mode", mode_l)],
-        )
-        .set(rel);
-        gauge(
-            "stef_model_measured_elems",
-            "Cumulative measured memory traffic (elements)",
-            &[("engine", engine), ("mode", mode_l)],
-        )
-        .set(cell.measured);
-        gauge(
-            "stef_model_predicted_elems",
-            "Cumulative Sec. IV-C predicted memory traffic (elements)",
-            &[("engine", engine), ("mode", mode_l)],
-        )
-        .set(cell.predicted);
-        if rel > warn_threshold && !cell.warned {
-            cell.warned = true;
-            let (engine, measured, predicted) =
-                (cell.engine.clone(), cell.measured, cell.predicted);
-            drop(drift);
-            crate::telemetry::warn("model", move || {
-                format!(
-                    "traffic model drift: engine={engine} mode={mode} rel_err={rel:.3} \
-                     (measured {measured:.3e} vs predicted {predicted:.3e} elems) — \
-                     admission pricing and --engine auto bids may be stale"
-                )
-            });
-        } else if rel < warn_threshold * 0.5 {
-            cell.warned = false;
-        }
-    }
-
-    // -- pre-registered hot-path handles -----------------------------------
-
-    /// Per-worker counter handles, resolved once at pool construction
-    /// so the dispatch path stays allocation-free.
-    #[derive(Clone, Copy)]
-    pub struct WorkerHandles {
-        bursts: &'static Counter,
-        chunks: &'static Counter,
-        parks: &'static Counter,
-    }
-
-    pub fn worker_handles(idx: usize) -> WorkerHandles {
-        let w = super::worker_label(idx);
-        WorkerHandles {
-            bursts: counter(
-                "stef_worker_bursts_total",
-                "Work-claim bursts per pool worker",
-                &[("worker", w)],
-            ),
-            chunks: counter(
-                "stef_worker_chunks_total",
-                "Chunks claimed per pool worker",
-                &[("worker", w)],
-            ),
-            parks: counter(
-                "stef_worker_parks_total",
-                "Futex parks per pool worker",
-                &[("worker", w)],
-            ),
-        }
-    }
-
-    impl WorkerHandles {
-        #[inline]
-        pub fn park(&self) {
-            self.parks.inc();
-        }
-
-        /// One claimed chunk; `first` opens a new burst.
-        #[inline]
-        pub fn chunk(&self, first: bool) {
-            if first {
-                self.bursts.inc();
+    for f in reg.iter() {
+        for s in &f.series {
+            match &s.metric {
+                Metric::Counter(c) => {
+                    push_sample(&mut out, &mut first, f.name, &s.labels, c.value() as f64)
+                }
+                Metric::Gauge(g) => {
+                    push_sample(&mut out, &mut first, f.name, &s.labels, g.value())
+                }
+                Metric::Histogram(h) => {
+                    push_sample(
+                        &mut out,
+                        &mut first,
+                        &format!("{}_count", f.name),
+                        &s.labels,
+                        h.count() as f64,
+                    );
+                    push_sample(
+                        &mut out,
+                        &mut first,
+                        &format!("{}_sum_seconds", f.name),
+                        &s.labels,
+                        h.sum_seconds(),
+                    );
+                    let pairs: Vec<(f64, f64)> =
+                        h.cumulative().iter().map(|&(le, c)| (le, c as f64)).collect();
+                    let p99 = quantile_from_buckets(&pairs, 0.99);
+                    push_sample(
+                        &mut out,
+                        &mut first,
+                        &format!("{}_p99", f.name),
+                        &s.labels,
+                        p99,
+                    );
+                }
             }
-            self.chunks.inc();
         }
     }
+    out.push_str("]}");
+    out
+}
 
-    /// Pool-level handles (dispatch counters + latency histogram),
-    /// resolved once at pool construction.
-    #[derive(Clone, Copy)]
-    pub struct PoolHandles {
-        dispatches: &'static Counter,
-        inline_runs: &'static Counter,
-        panics: &'static Counter,
-        cancelled: &'static Counter,
-        latency: &'static Histogram,
+// -- continuous §IV-C model-drift audit --------------------------------
+
+struct DriftCell {
+    engine: String,
+    mode: usize,
+    measured: f64,
+    predicted: f64,
+    warned: bool,
+}
+
+static DRIFT: Mutex<Vec<DriftCell>> = Mutex::new(Vec::new());
+
+/// Fold one finished job's measured-vs-predicted traffic for
+/// `(engine, mode)` into the cumulative drift gauges. Logs a
+/// `STEF_LOG` warning the first time cumulative relative error
+/// crosses `warn_threshold` (re-arming once it falls below half).
+pub fn record_model_drift(
+    engine: &str,
+    mode: usize,
+    measured_elems: f64,
+    predicted_elems: f64,
+    warn_threshold: f64,
+) {
+    if !enabled() || !measured_elems.is_finite() || !predicted_elems.is_finite() {
+        return;
     }
-
-    pub fn pool_handles() -> PoolHandles {
-        PoolHandles {
-            dispatches: counter(
-                "stef_pool_dispatches_total",
-                "Parallel fan-outs published to the worker pool",
-                &[],
-            ),
-            inline_runs: counter(
-                "stef_pool_inline_runs_total",
-                "Dispatches run inline on the caller (pool busy or tiny job)",
-                &[],
-            ),
-            panics: counter(
-                "stef_pool_panics_total",
-                "Worker panics caught and healed by the pool",
-                &[],
-            ),
-            cancelled: counter(
-                "stef_pool_cancelled_total",
-                "Dispatches aborted by cooperative cancellation",
-                &[],
-            ),
-            latency: histogram(
-                "stef_dispatch_seconds",
-                "Wall time of one pool dispatch (publish to completion barrier)",
-                &[],
-                TIME_BUCKETS,
-            ),
+    let mut drift = DRIFT.lock().unwrap_or_else(|p| p.into_inner());
+    let idx = match drift.iter().position(|d| d.engine == engine && d.mode == mode) {
+        Some(i) => i,
+        None => {
+            if drift.len() >= MAX_SERIES_PER_FAMILY {
+                return;
+            }
+            drift.push(DriftCell {
+                engine: engine.to_string(),
+                mode,
+                measured: 0.0,
+                predicted: 0.0,
+                warned: false,
+            });
+            drift.len() - 1
         }
-    }
-
-    impl PoolHandles {
-        #[inline]
-        pub fn dispatch(&self, nanos: u64) {
-            self.dispatches.inc();
-            self.latency.observe_ns(nanos);
-        }
-
-        #[inline]
-        pub fn inline_run(&self) {
-            self.inline_runs.inc();
-        }
-
-        #[inline]
-        pub fn panic(&self) {
-            self.panics.inc();
-        }
-
-        #[inline]
-        pub fn cancelled(&self) {
-            self.cancelled.inc();
-        }
+    };
+    let cell = &mut drift[idx];
+    cell.measured += measured_elems;
+    cell.predicted += predicted_elems;
+    let rel = crate::model::drift_rel_err(cell.measured, cell.predicted);
+    let mode_l = mode_label(mode);
+    gauge(
+        "stef_model_drift_rel_err",
+        "Cumulative relative error of Sec. IV-C predicted vs measured traffic",
+        &[("engine", engine), ("mode", mode_l)],
+    )
+    .set(rel);
+    gauge(
+        "stef_model_measured_elems",
+        "Cumulative measured memory traffic (elements)",
+        &[("engine", engine), ("mode", mode_l)],
+    )
+    .set(cell.measured);
+    gauge(
+        "stef_model_predicted_elems",
+        "Cumulative Sec. IV-C predicted memory traffic (elements)",
+        &[("engine", engine), ("mode", mode_l)],
+    )
+    .set(cell.predicted);
+    if rel > warn_threshold && !cell.warned {
+        cell.warned = true;
+        let (engine, measured, predicted) =
+            (cell.engine.clone(), cell.measured, cell.predicted);
+        drop(drift);
+        crate::telemetry::warn("model", move || {
+            format!(
+                "traffic model drift: engine={engine} mode={mode} rel_err={rel:.3} \
+                 (measured {measured:.3e} vs predicted {predicted:.3e} elems) — \
+                 admission pricing and --engine auto bids may be stale"
+            )
+        });
+    } else if rel < warn_threshold * 0.5 {
+        cell.warned = false;
     }
 }
 
-// ---------------------------------------------------------------------------
-// Stub (telemetry feature off): same API, empty inline bodies.
-// ---------------------------------------------------------------------------
+// -- pre-registered hot-path handles -----------------------------------
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    pub fn set_enabled(_on: bool) {}
+/// Per-worker counter handles, resolved once at pool construction
+/// so the dispatch path stays allocation-free.
+#[derive(Clone, Copy)]
+pub struct WorkerHandles {
+    bursts: &'static Counter,
+    chunks: &'static Counter,
+    parks: &'static Counter,
+}
+
+pub fn worker_handles(idx: usize) -> WorkerHandles {
+    let w = worker_label(idx);
+    WorkerHandles {
+        bursts: counter(
+            "stef_worker_bursts_total",
+            "Work-claim bursts per pool worker",
+            &[("worker", w)],
+        ),
+        chunks: counter(
+            "stef_worker_chunks_total",
+            "Chunks claimed per pool worker",
+            &[("worker", w)],
+        ),
+        parks: counter(
+            "stef_worker_parks_total",
+            "Futex parks per pool worker",
+            &[("worker", w)],
+        ),
+    }
+}
+
+impl WorkerHandles {
+    #[inline]
+    pub fn park(&self) {
+        self.parks.inc();
+    }
+
+    /// One claimed chunk; `first` opens a new burst.
+    #[inline]
+    pub fn chunk(&self, first: bool) {
+        if first {
+            self.bursts.inc();
+        }
+        self.chunks.inc();
+    }
+}
+
+/// Pool-level handles (dispatch counters + latency histogram),
+/// resolved once at pool construction.
+#[derive(Clone, Copy)]
+pub struct PoolHandles {
+    dispatches: &'static Counter,
+    inline_runs: &'static Counter,
+    panics: &'static Counter,
+    cancelled: &'static Counter,
+    latency: &'static Histogram,
+}
+
+pub fn pool_handles() -> PoolHandles {
+    PoolHandles {
+        dispatches: counter(
+            "stef_pool_dispatches_total",
+            "Parallel fan-outs published to the worker pool",
+            &[],
+        ),
+        inline_runs: counter(
+            "stef_pool_inline_runs_total",
+            "Dispatches run inline on the caller (pool busy or tiny job)",
+            &[],
+        ),
+        panics: counter(
+            "stef_pool_panics_total",
+            "Worker panics caught and healed by the pool",
+            &[],
+        ),
+        cancelled: counter(
+            "stef_pool_cancelled_total",
+            "Dispatches aborted by cooperative cancellation",
+            &[],
+        ),
+        latency: histogram(
+            "stef_dispatch_seconds",
+            "Wall time of one pool dispatch (publish to completion barrier)",
+            &[],
+            TIME_BUCKETS,
+        ),
+    }
+}
+
+impl PoolHandles {
+    #[inline]
+    pub fn dispatch(&self, nanos: u64) {
+        self.dispatches.inc();
+        self.latency.observe_ns(nanos);
+    }
 
     #[inline]
-    pub fn enabled() -> bool {
-        false
+    pub fn inline_run(&self) {
+        self.inline_runs.inc();
     }
 
-    pub struct Counter;
-
-    impl Counter {
-        #[inline]
-        pub fn inc(&self) {}
-        #[inline]
-        pub fn add(&self, _n: u64) {}
-        pub fn value(&self) -> u64 {
-            0
-        }
+    #[inline]
+    pub fn panic(&self) {
+        self.panics.inc();
     }
 
-    pub struct Gauge;
-
-    impl Gauge {
-        #[inline]
-        pub fn set(&self, _v: f64) {}
-        pub fn value(&self) -> f64 {
-            0.0
-        }
-    }
-
-    pub struct Histogram;
-
-    impl Histogram {
-        #[inline]
-        pub fn observe(&self, _seconds: f64) {}
-        #[inline]
-        pub fn observe_ns(&self, _nanos: u64) {}
-        pub fn count(&self) -> u64 {
-            0
-        }
-        pub fn sum_seconds(&self) -> f64 {
-            0.0
-        }
-        pub fn cumulative(&self) -> Vec<(f64, u64)> {
-            Vec::new()
-        }
-    }
-
-    static COUNTER: Counter = Counter;
-    static GAUGE: Gauge = Gauge;
-    static HISTOGRAM: Histogram = Histogram;
-
-    pub fn counter(_n: &'static str, _h: &'static str, _l: &[(&str, &str)]) -> &'static Counter {
-        &COUNTER
-    }
-
-    pub fn gauge(_n: &'static str, _h: &'static str, _l: &[(&str, &str)]) -> &'static Gauge {
-        &GAUGE
-    }
-
-    pub fn histogram(
-        _n: &'static str,
-        _h: &'static str,
-        _l: &[(&str, &str)],
-        _b: &'static [f64],
-    ) -> &'static Histogram {
-        &HISTOGRAM
-    }
-
-    pub fn render_prometheus() -> String {
-        String::new()
-    }
-
-    pub fn render_flush_jsonl(_uptime_s: f64) -> String {
-        String::new()
-    }
-
-    pub fn record_model_drift(
-        _engine: &str,
-        _mode: usize,
-        _measured: f64,
-        _predicted: f64,
-        _threshold: f64,
-    ) {
-    }
-
-    #[derive(Clone, Copy)]
-    pub struct WorkerHandles;
-
-    pub fn worker_handles(_idx: usize) -> WorkerHandles {
-        WorkerHandles
-    }
-
-    impl WorkerHandles {
-        #[inline]
-        pub fn park(&self) {}
-        #[inline]
-        pub fn chunk(&self, _first: bool) {}
-    }
-
-    #[derive(Clone, Copy)]
-    pub struct PoolHandles;
-
-    pub fn pool_handles() -> PoolHandles {
-        PoolHandles
-    }
-
-    impl PoolHandles {
-        #[inline]
-        pub fn dispatch(&self, _nanos: u64) {}
-        #[inline]
-        pub fn inline_run(&self) {}
-        #[inline]
-        pub fn panic(&self) {}
-        #[inline]
-        pub fn cancelled(&self) {}
+    #[inline]
+    pub fn cancelled(&self) {
+        self.cancelled.inc();
     }
 }
 
-pub use imp::{
-    counter, enabled, gauge, histogram, pool_handles, record_model_drift, render_flush_jsonl,
-    render_prometheus, set_enabled, worker_handles, Counter, Gauge, Histogram, PoolHandles,
-    WorkerHandles,
-};
-
 // ---------------------------------------------------------------------------
-// Prometheus text parser + quantile helper (compiled unconditionally —
-// consumers like `stef top` and `validate_telemetry` parse scrapes even
-// when their own build has telemetry off).
+// Prometheus text parser + quantile helper
 // ---------------------------------------------------------------------------
 
 /// One parsed exposition sample: `name{labels} value`.
@@ -1052,7 +906,7 @@ pub fn quantile_from_buckets(buckets: &[(f64, f64)], q: f64) -> f64 {
     prev_le
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -105,18 +105,6 @@ impl EngineChoice {
     }
 }
 
-/// Which MTTKRP kernel implementation the engine runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum KernelPath {
-    /// The allocation-free, monomorphized, iterative kernels with
-    /// rank-blocked row primitives (`kernels`). The default.
-    #[default]
-    Vectorized,
-    /// The original recursive, closure-based kernels kept verbatim in
-    /// `kernels_legacy` — the A/B baseline for the perf trajectory.
-    Legacy,
-}
-
 /// Full engine configuration.
 #[derive(Clone, Debug)]
 pub struct StefOptions {
@@ -139,8 +127,6 @@ pub struct StefOptions {
     /// Memory cap (bytes) for privatized outputs under
     /// [`AccumStrategy::Auto`].
     pub privatize_cap_bytes: usize,
-    /// Kernel implementation to run.
-    pub kernel_path: KernelPath,
     /// Memory budget (bytes) for the engine's own arenas — memoized
     /// partials `P^(i)`, workspace scratch, privatized outputs. 0 means
     /// unlimited. When a configuration does not fit, the engine
@@ -208,7 +194,6 @@ impl StefOptions {
             mode_switch: ModeSwitchPolicy::ModelChosen,
             accum: AccumStrategy::Auto,
             privatize_cap_bytes: 512 << 20,
-            kernel_path: KernelPath::Vectorized,
             memory_budget: 0,
             cancel: None,
             simd: linalg::simd::SimdPolicy::Auto,

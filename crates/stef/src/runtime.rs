@@ -347,8 +347,7 @@ struct Shared {
     /// Per-worker metrics-registry handles, resolved at construction
     /// (registration locks and allocates; incrementing does neither),
     /// so the worker loop can mirror parks/bursts into the registry
-    /// without breaking the zero-alloc dispatch invariant. Zero-sized
-    /// no-ops without the `telemetry` feature.
+    /// without breaking the zero-alloc dispatch invariant.
     wmetrics: Vec<crate::metrics::WorkerHandles>,
 }
 

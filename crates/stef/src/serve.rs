@@ -233,7 +233,7 @@ impl Server {
             for _ in 0..self.cfg.handler_threads.max(1) {
                 s.spawn(|| self.handler_loop(&conns));
             }
-            if crate::metrics::COMPILED && !self.cfg.metrics_flush.is_zero() {
+            if !self.cfg.metrics_flush.is_zero() {
                 s.spawn(|| self.flusher_loop());
             }
             self.accept_loop(&conns);
@@ -433,8 +433,8 @@ impl Server {
 
     /// One relaxed counter bump + histogram observe per request; the
     /// label set is bounded (3 methods × the fixed status table), and
-    /// when the registry is disabled or compiled out both calls are
-    /// no-ops after a single relaxed load.
+    /// when the registry is disabled both calls are no-ops after a
+    /// single relaxed load.
     fn observe_http(&self, method: &str, status: u16, t0: Instant) {
         if !crate::metrics::enabled() {
             return;
@@ -538,12 +538,6 @@ impl Server {
     /// picture.
     fn metrics_text(&self) -> (u16, String) {
         use crate::metrics as m;
-        if !m::COMPILED {
-            return (
-                200,
-                "# stef built without the 'telemetry' feature; registry compiled out\n".into(),
-            );
-        }
         let (queued, running) = self.sup.load_counts();
         m::gauge("stef_jobs_queued", "Jobs waiting in the supervisor queue.", &[])
             .set(queued as f64);
@@ -1354,7 +1348,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metrics_endpoint_serves_prometheus_text() {
         let (server, dir) = TestServer::start(|_| {});

@@ -125,20 +125,18 @@ impl MttkrpEngine for Stef2 {
         let ctx = KernelCtx::new(&self.csf2, &self.sched2, level_factors, rank);
         let mut out = Mat::zeros(self.csf2.level_dims()[0], rank);
         mode0_pass(&ctx, &mut self.partials2, &mut out);
-        if crate::telemetry::COMPILED {
-            // Root-style full traversal of the second CSF, no memo.
-            let d2 = self.csf2.ndim();
-            let (reads, writes) = crate::counters::count_mode0(&self.csf2, &[], rank);
-            let fibers: u64 = (0..d2).map(|l| self.csf2.nfibers(l) as u64).sum();
-            self.leaf_stats = Some(ModeStats {
-                level: d2 - 1, // the mode's level in the *base* order
-                nnz: self.csf2.nnz() as u64,
-                fibers,
-                flops: 2.0 * (reads - 2.0 * fibers as f64).max(0.0),
-                reads,
-                writes,
-            });
-        }
+        // Root-style full traversal of the second CSF, no memo.
+        let d2 = self.csf2.ndim();
+        let (reads, writes) = crate::counters::count_mode0(&self.csf2, &[], rank);
+        let fibers: u64 = (0..d2).map(|l| self.csf2.nfibers(l) as u64).sum();
+        self.leaf_stats = Some(ModeStats {
+            level: d2 - 1, // the mode's level in the *base* order
+            nnz: self.csf2.nnz() as u64,
+            fibers,
+            flops: 2.0 * (reads - 2.0 * fibers as f64).max(0.0),
+            reads,
+            writes,
+        });
         out
     }
 

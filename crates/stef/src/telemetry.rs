@@ -1,9 +1,7 @@
-//! Zero-overhead telemetry: structured spans, per-mode counters, a
-//! model-vs-measured data-movement audit, and trace export.
+//! Telemetry: structured spans, per-mode counters, a model-vs-measured
+//! data-movement audit, and trace export.
 //!
-//! Three concerns live here, all compile-out-able via the `telemetry`
-//! cargo feature (on by default; `--no-default-features` builds every
-//! recording entry point down to a no-op):
+//! Three concerns live here:
 //!
 //! 1. **Leveled logging** (`STEF_LOG={off,warn,info,debug}`, default
 //!    `warn`). Library code never writes to stderr unconditionally —
@@ -39,11 +37,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// `true` when the `telemetry` cargo feature is enabled. Recording
-/// call sites test this compile-time constant so that
-/// `--no-default-features` builds dead-code-eliminate them entirely.
-pub const COMPILED: bool = cfg!(feature = "telemetry");
-
 // ---------------------------------------------------------------------------
 // Leveled logging
 // ---------------------------------------------------------------------------
@@ -69,24 +62,16 @@ impl LogLevel {
 }
 
 /// The active log level: `STEF_LOG` parsed once per process (default
-/// `warn`; unrecognized values also fall back to `warn`). `Off` when
-/// telemetry is compiled out.
+/// `warn`; unrecognized values also fall back to `warn`).
 pub fn log_level() -> LogLevel {
-    #[cfg(feature = "telemetry")]
-    {
-        use std::sync::OnceLock;
-        static LEVEL: OnceLock<LogLevel> = OnceLock::new();
-        *LEVEL.get_or_init(|| match std::env::var("STEF_LOG").as_deref() {
-            Ok("off") => LogLevel::Off,
-            Ok("info") => LogLevel::Info,
-            Ok("debug") => LogLevel::Debug,
-            _ => LogLevel::Warn,
-        })
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        LogLevel::Off
-    }
+    use std::sync::OnceLock;
+    static LEVEL: OnceLock<LogLevel> = OnceLock::new();
+    *LEVEL.get_or_init(|| match std::env::var("STEF_LOG").as_deref() {
+        Ok("off") => LogLevel::Off,
+        Ok("info") => LogLevel::Info,
+        Ok("debug") => LogLevel::Debug,
+        _ => LogLevel::Warn,
+    })
 }
 
 /// Whether messages at `level` are emitted.
@@ -222,8 +207,8 @@ pub struct ModeAudit {
 }
 
 impl TelemetryReport {
-    /// True when no iterations were recorded (telemetry compiled out,
-    /// or an engine/loop that does not collect).
+    /// True when no iterations were recorded (an engine or loop that
+    /// does not collect).
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
@@ -263,8 +248,7 @@ impl TelemetryReport {
 }
 
 /// Accumulates [`ModeSample`]s into [`IterationRecord`]s inside the
-/// ALS loop. All methods are no-ops when telemetry is compiled out,
-/// so `cpd.rs` stays cfg-free.
+/// ALS loop.
 #[derive(Debug, Default)]
 pub struct Collector {
     current: Vec<ModeSample>,
@@ -284,26 +268,22 @@ impl Collector {
         stats: Option<ModeStats>,
         predicted: Option<(f64, f64)>,
     ) {
-        if COMPILED {
-            self.current.push(ModeSample {
-                mode,
-                seconds,
-                stats,
-                predicted,
-            });
-        }
+        self.current.push(ModeSample {
+            mode,
+            seconds,
+            stats,
+            predicted,
+        });
     }
 
     /// Closes the current iteration.
     pub fn end_iteration(&mut self, iteration: usize, fit: f64, alloc_events: u64) {
-        if COMPILED {
-            self.records.push(IterationRecord {
-                iteration,
-                fit,
-                modes: std::mem::take(&mut self.current),
-                alloc_events,
-            });
-        }
+        self.records.push(IterationRecord {
+            iteration,
+            fit,
+            modes: std::mem::take(&mut self.current),
+            alloc_events,
+        });
     }
 
     /// Finishes the run: drains any pending worker spans into the
@@ -342,21 +322,18 @@ static TRACE_ON: AtomicBool = AtomicBool::new(false);
 static SPANS: Mutex<Vec<TraceSpan>> = Mutex::new(Vec::new());
 
 /// Turns span recording on or off process-wide. Enabling clears any
-/// previously buffered spans. No-op (tracing stays off) when
-/// telemetry is compiled out.
+/// previously buffered spans.
 pub fn set_trace_enabled(on: bool) {
-    if COMPILED {
-        if on {
-            lock_spans().clear();
-        }
-        TRACE_ON.store(on, Ordering::Relaxed);
+    if on {
+        lock_spans().clear();
     }
+    TRACE_ON.store(on, Ordering::Relaxed);
 }
 
-/// One relaxed load; constant `false` when telemetry is compiled out.
+/// One relaxed load.
 #[inline]
 pub fn trace_enabled() -> bool {
-    COMPILED && TRACE_ON.load(Ordering::Relaxed)
+    TRACE_ON.load(Ordering::Relaxed)
 }
 
 /// Buffers a span. Callers gate on [`trace_enabled`] *before* taking
@@ -372,9 +349,6 @@ pub fn record_span(span: TraceSpan) {
 /// Drains and returns all buffered spans (sorted by thread then start
 /// time).
 pub fn take_spans() -> Vec<TraceSpan> {
-    if !COMPILED {
-        return Vec::new();
-    }
     let mut spans = std::mem::take(&mut *lock_spans());
     spans.sort_by_key(|s| (s.tid, s.start_ns));
     spans
@@ -558,7 +532,7 @@ pub fn render_summary(report: &TelemetryReport) -> String {
     let audits = report.model_audit();
     let mut out = String::new();
     if report.records.is_empty() {
-        out.push_str("telemetry: no iteration records (compiled out or not collected)\n");
+        out.push_str("telemetry: no iteration records collected\n");
         return out;
     }
     let _ = writeln!(
@@ -660,10 +634,6 @@ mod tests {
     #[test]
     fn collector_builds_whole_iteration_records() {
         let r = sample_report();
-        if !COMPILED {
-            assert!(r.is_empty());
-            return;
-        }
         assert_eq!(r.records.len(), 1);
         assert_eq!(r.records[0].modes.len(), 2);
         assert_eq!(r.records[0].alloc_events, 3);
@@ -677,10 +647,6 @@ mod tests {
     fn jsonl_has_one_line_per_iteration_with_schema() {
         let r = sample_report();
         let jsonl = render_metrics_jsonl(&r);
-        if !COMPILED {
-            assert!(jsonl.is_empty());
-            return;
-        }
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with("{\"schema\":1,"));
@@ -718,12 +684,6 @@ mod tests {
 
     #[test]
     fn span_buffer_round_trips_when_enabled() {
-        if !COMPILED {
-            set_trace_enabled(true);
-            record_span(TraceSpan::default());
-            assert!(take_spans().is_empty());
-            return;
-        }
         set_trace_enabled(true);
         record_span(TraceSpan {
             tid: 2,
@@ -744,11 +704,9 @@ mod tests {
     #[test]
     fn non_finite_numbers_render_as_null() {
         let mut r = sample_report();
-        if COMPILED {
-            r.records[0].fit = f64::NAN;
-            let jsonl = render_metrics_jsonl(&r);
-            assert!(jsonl.contains("\"fit\":null"));
-        }
+        r.records[0].fit = f64::NAN;
+        let jsonl = render_metrics_jsonl(&r);
+        assert!(jsonl.contains("\"fit\":null"));
     }
 
     #[test]

@@ -287,37 +287,35 @@ fn concurrent_clients_with_fault_injection_soak() {
 
     // The mid-soak scrape's counters must match the drain report —
     // the registry and the journal are two views of the same events.
-    if stef_core::metrics::COMPILED {
-        let text = metrics.strip_prefix("200 ").unwrap_or(&metrics);
-        let samples = stef_core::parse_prometheus_text(text).expect("valid exposition");
-        let total = |name: &str, want: &[(&str, &str)]| -> f64 {
-            samples
-                .iter()
-                .filter(|s| s.name == name && want.iter().all(|(k, v)| s.label(k) == Some(v)))
-                .map(|s| s.value)
-                .sum()
-        };
-        assert_eq!(
-            total("stef_jobs_completed_total", &[("outcome", "done")]) as usize,
-            report.done(),
-            "{text}"
-        );
-        assert_eq!(
-            total("stef_jobs_completed_total", &[("outcome", "failed")]) as usize,
-            report.failed(),
-            "{text}"
-        );
-        assert_eq!(total("stef_jobs_shed_total", &[]) as usize, report.shed(), "{text}");
-        // The transient-fault job retried at least once.
-        assert!(total("stef_job_retries_total", &[]) >= 1.0, "{text}");
-        assert_eq!(total("stef_snapshot_generations", &[]) as u64, store.installs());
-        assert!(total("stef_http_requests_total", &[]) > 0.0, "{text}");
-        assert!(total("stef_mttkrp_seconds_count", &[]) > 0.0, "{text}");
-        // Drift gauges: present for every audited (engine, mode), and
-        // finite — the continuous §IV-C audit must never go NaN/inf.
-        for s in samples.iter().filter(|s| s.name == "stef_model_drift_rel_err") {
-            assert!(s.value.is_finite(), "drift gauge not finite: {:?}", s.labels);
-        }
+    let text = metrics.strip_prefix("200 ").unwrap_or(&metrics);
+    let samples = stef_core::parse_prometheus_text(text).expect("valid exposition");
+    let total = |name: &str, want: &[(&str, &str)]| -> f64 {
+        samples
+            .iter()
+            .filter(|s| s.name == name && want.iter().all(|(k, v)| s.label(k) == Some(v)))
+            .map(|s| s.value)
+            .sum()
+    };
+    assert_eq!(
+        total("stef_jobs_completed_total", &[("outcome", "done")]) as usize,
+        report.done(),
+        "{text}"
+    );
+    assert_eq!(
+        total("stef_jobs_completed_total", &[("outcome", "failed")]) as usize,
+        report.failed(),
+        "{text}"
+    );
+    assert_eq!(total("stef_jobs_shed_total", &[]) as usize, report.shed(), "{text}");
+    // The transient-fault job retried at least once.
+    assert!(total("stef_job_retries_total", &[]) >= 1.0, "{text}");
+    assert_eq!(total("stef_snapshot_generations", &[]) as u64, store.installs());
+    assert!(total("stef_http_requests_total", &[]) > 0.0, "{text}");
+    assert!(total("stef_mttkrp_seconds_count", &[]) > 0.0, "{text}");
+    // Drift gauges: present for every audited (engine, mode), and
+    // finite — the continuous §IV-C audit must never go NaN/inf.
+    for s in samples.iter().filter(|s| s.name == "stef_model_drift_rel_err") {
+        assert!(s.value.is_finite(), "drift gauge not finite: {:?}", s.labels);
     }
 
     // Every published model still answers after the drain returned.

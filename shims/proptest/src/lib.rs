@@ -432,7 +432,7 @@ mod tests {
 
         #[test]
         fn macro_generates_cases(x in 1usize..=100, v in pvec(any::<u64>(), 1..=8)) {
-            prop_assert!(x >= 1 && x <= 100);
+            prop_assert!((1..=100).contains(&x));
             prop_assert!(!v.is_empty() && v.len() <= 8);
         }
     }

@@ -28,8 +28,9 @@ use stef::{init_factors, LoadBalance, PartialStore, Schedule, Workspace};
 use workloads::power_law_tensor;
 
 /// Runs `rounds` full sweeps (mode 0 plus every mode-u × both accum
-/// strategies) against pre-built state and returns the number of
-/// allocator calls they triggered on the threads `scope` armed.
+/// strategies) against pre-built state, repeated until every pool
+/// worker has run in the window, and returns the number of allocator
+/// calls they triggered on the threads `scope` armed.
 fn count_sweep_allocs(
     scope: &AllocScope,
     ctx: &KernelCtx<'_>,
@@ -39,26 +40,23 @@ fn count_sweep_allocs(
     outs: &mut [Mat],
     rounds: usize,
 ) -> u64 {
-    let d = outs.len();
     let views = partials.shared_views();
-    // Warm-up: sizes the workspace for every (mode, accum) combination.
-    mode0_with(ctx, &views, rt, ws, &mut outs[0]);
-    for u in 1..d {
-        for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
-            modeu_with(ctx, &views, true, u, accum, rt, ws, &mut outs[u]);
-        }
-    }
-    let before_events = ws.alloc_events();
-    let before = scope.calls();
-    for _ in 0..rounds {
+    let mut sweep = |ws: &mut Workspace| {
         mode0_with(ctx, &views, rt, ws, &mut outs[0]);
-        for u in 1..d {
+        for (u, out) in outs.iter_mut().enumerate().skip(1) {
             for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
-                modeu_with(ctx, &views, true, u, accum, rt, ws, &mut outs[u]);
+                modeu_with(ctx, &views, true, u, accum, rt, ws, out);
             }
         }
-    }
-    let delta = scope.calls() - before;
+    };
+    // Warm-up: sizes the workspace for every (mode, accum) combination.
+    sweep(ws);
+    let before_events = ws.alloc_events();
+    let delta = common::count_sweeps(scope, rt, || {
+        for _ in 0..rounds {
+            sweep(ws);
+        }
+    });
     assert_eq!(
         ws.alloc_events(),
         before_events,

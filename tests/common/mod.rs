@@ -10,7 +10,9 @@
 //! calling thread and, with one fan-out, every OS thread of the test's
 //! [`Executor`] — so allocations a pool dispatch makes on its workers
 //! are still counted, while concurrent tests (even other counting tests,
-//! each with its own counter) never leak into the window.
+//! each with its own counter) never leak into the window. [`count_sweeps`]
+//! keeps the window open until every worker has run in it, so a worker
+//! that allocates cannot hide by staying idle.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,6 +68,10 @@ static COUNTER: ScopedCountingAlloc = ScopedCountingAlloc;
 
 /// How long the arming fan-out waits for every pool thread to show up.
 const ARM_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long [`count_sweeps`] repeats a sweep waiting for an idle worker
+/// to claim a chunk.
+const COVER_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A test's own allocation counter, fed by every thread [`arm`] armed.
 /// Dropping it disarms the calling thread; the pool's workers stay
@@ -131,6 +137,44 @@ pub fn arm(rt: &Executor) -> AllocScope {
         armed.len()
     );
     AllocScope { calls }
+}
+
+/// Chunks each spawned worker of `rt` has claimed so far, read with
+/// counting paused on the calling thread (`counters()` collects a `Vec`).
+fn worker_chunks(rt: &Executor) -> Vec<u64> {
+    let armed = ARMED.with(|a| a.replace(ptr::null()));
+    let chunks = rt.counters().per_worker.iter().map(|w| w.chunks).collect();
+    ARMED.with(|a| a.set(armed));
+    chunks
+}
+
+/// Allocator calls `sweep` makes on the threads `scope` armed. The
+/// window stays open, repeating `sweep`, until every spawned worker of
+/// `rt` has claimed a chunk in it: a worker that never runs inside the
+/// window would allocate unseen, and on a loaded host the dispatcher
+/// can drain every chunk itself. Fails, naming the idle worker, if one
+/// claims nothing for [`COVER_TIMEOUT`].
+pub fn count_sweeps(scope: &AllocScope, rt: &Executor, mut sweep: impl FnMut()) -> u64 {
+    let start = worker_chunks(rt);
+    let deadline = Instant::now() + COVER_TIMEOUT;
+    let before = scope.calls();
+    let mut sweeps = 0u64;
+    loop {
+        sweep();
+        sweeps += 1;
+        let idle = worker_chunks(rt)
+            .iter()
+            .zip(&start)
+            .position(|(now, was)| now == was);
+        match idle {
+            None => return scope.calls() - before,
+            Some(w) if Instant::now() >= deadline => panic!(
+                "pool worker per_worker[{w}] claimed no chunk in {sweeps} sweeps \
+                 ({COVER_TIMEOUT:?}), so its allocations went unchecked"
+            ),
+            Some(_) => {}
+        }
+    }
 }
 
 /// Negative control: the scoped counter is not blind to the pool's

@@ -1,7 +1,6 @@
 //! Run-to-run determinism: with a fixed seed, CPD-ALS must produce
 //! bit-identical factors, weights and fit trajectories every time — for
-//! every logical thread count, both kernel paths and every accumulation
-//! strategy. The privatized reduction sums thread copies in thread
+//! every logical thread count and every accumulation strategy. The privatized reduction sums thread copies in thread
 //! order and the schedule is a pure function of the tensor, so with a
 //! sequential fan-out there is no legitimate source of run-to-run
 //! variation; any flake here is a data race or an ordering bug in the
@@ -15,7 +14,7 @@
 //! core.
 
 use linalg::Mat;
-use stef::{cpd_als, AccumStrategy, CpdOptions, KernelPath, MttkrpEngine, Stef, StefOptions};
+use stef::{cpd_als, AccumStrategy, CpdOptions, MttkrpEngine, Stef, StefOptions};
 use workloads::power_law_tensor;
 
 fn sequential_fanout() -> bool {
@@ -30,11 +29,10 @@ fn factor_bits(factors: &[Mat]) -> Vec<u64> {
 }
 
 /// (factor bits, fit bits) of one seeded CPD run.
-fn run_cpd(nthreads: usize, path: KernelPath, accum: AccumStrategy) -> (Vec<u64>, Vec<u64>) {
+fn run_cpd(nthreads: usize, accum: AccumStrategy) -> (Vec<u64>, Vec<u64>) {
     let t = power_law_tensor(&[25, 18, 30], 1_200, &[0.6, 0.4, 0.5], 9);
     let mut opts = StefOptions::new(4);
     opts.num_threads = nthreads;
-    opts.kernel_path = path;
     opts.accum = accum;
     let mut engine = Stef::prepare(&t, opts);
     let cpd_opts = CpdOptions {
@@ -63,44 +61,14 @@ fn assert_same_run(a: &(Vec<u64>, Vec<u64>), b: &(Vec<u64>, Vec<u64>), what: &st
 #[test]
 fn cpd_is_bitwise_reproducible_across_all_configurations() {
     for nthreads in [1usize, 2, 3, 7, 16] {
-        for path in [KernelPath::Vectorized, KernelPath::Legacy] {
-            for accum in [
-                AccumStrategy::Auto,
-                AccumStrategy::Privatized,
-                AccumStrategy::Atomic,
-            ] {
-                let first = run_cpd(nthreads, path, accum);
-                let second = run_cpd(nthreads, path, accum);
-                assert_same_run(
-                    &first,
-                    &second,
-                    &format!("{nthreads} threads, {path:?}, {accum:?}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn kernel_paths_agree_at_cpd_level() {
-    // The vectorized path was built to round exactly like the legacy
-    // one; with scalar kernels and no FMA codegen the whole CPD
-    // trajectory must match bit for bit. When multiply-adds fuse —
-    // compile-time FMA codegen or a runtime-dispatched SIMD path — the
-    // fused primitives round once where the legacy mode-u emit rounds
-    // twice, so only closeness can be required.
-    for nthreads in [1usize, 3, 8] {
-        let vec = run_cpd(nthreads, KernelPath::Vectorized, AccumStrategy::Privatized);
-        let legacy = run_cpd(nthreads, KernelPath::Legacy, AccumStrategy::Privatized);
-        let fused = cfg!(target_feature = "fma")
-            || linalg::simd::active() != linalg::simd::SimdPath::Scalar;
-        if fused || !sequential_fanout() {
-            for (&a, &b) in vec.1.iter().zip(&legacy.1) {
-                let (fa, fb) = (f64::from_bits(a), f64::from_bits(b));
-                assert!((fa - fb).abs() < 1e-9, "fits diverged: {fa} vs {fb}");
-            }
-        } else {
-            assert_eq!(vec, legacy, "paths diverged at {nthreads} threads");
+        for accum in [
+            AccumStrategy::Auto,
+            AccumStrategy::Privatized,
+            AccumStrategy::Atomic,
+        ] {
+            let first = run_cpd(nthreads, accum);
+            let second = run_cpd(nthreads, accum);
+            assert_same_run(&first, &second, &format!("{nthreads} threads, {accum:?}"));
         }
     }
 }

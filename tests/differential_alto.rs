@@ -156,7 +156,8 @@ fn results_are_bitwise_identical_across_worker_counts() {
 /// pool dispatch is a seqlock publish plus futex wakeups. Only this
 /// test's thread and its pool's workers are armed for counting, so the
 /// concurrently running tests of this binary stay out of the count,
-/// while allocations on the workers are still counted.
+/// while allocations on the workers are still counted; the window stays
+/// open until every worker has claimed a chunk in it.
 #[test]
 fn warm_linearized_sweeps_are_alloc_free() {
     let t = {
@@ -185,21 +186,21 @@ fn warm_linearized_sweeps_are_alloc_free() {
     let mut ws = Workspace::new(t.dims().len(), rank, nthreads, max_priv);
     let mut outs: Vec<Mat> = t.dims().iter().map(|&n| Mat::zeros(n, rank)).collect();
     for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
-        // Warm-up sweep: faults pages, sizes arenas.
-        for mode in 0..t.dims().len() {
-            alto_mode_with(&lin, &refs, mode, nthreads, accum, &rt, &mut ws, &mut outs[mode]);
-        }
-        let before = scope.calls();
-        let ws_before = ws.alloc_events();
-        for _ in 0..3 {
-            for mode in 0..t.dims().len() {
-                alto_mode_with(&lin, &refs, mode, nthreads, accum, &rt, &mut ws, &mut outs[mode]);
+        let mut sweep = |ws: &mut Workspace| {
+            for (mode, out) in outs.iter_mut().enumerate() {
+                alto_mode_with(&lin, &refs, mode, nthreads, accum, &rt, ws, out);
             }
-        }
-        let after = scope.calls();
+        };
+        // Warm-up sweep: faults pages, sizes arenas.
+        sweep(&mut ws);
+        let ws_before = ws.alloc_events();
+        let delta = common::count_sweeps(&scope, &rt, || {
+            for _ in 0..3 {
+                sweep(&mut ws);
+            }
+        });
         assert_eq!(
-            after - before,
-            0,
+            delta, 0,
             "{accum:?}: steady-state linearized sweeps must not allocate"
         );
         assert_eq!(ws.alloc_events(), ws_before, "workspace arenas regrew");

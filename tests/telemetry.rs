@@ -35,9 +35,6 @@ fn run_cpd() -> stef::TelemetryReport {
 
 #[test]
 fn model_audit_is_finite_and_covers_every_mode() {
-    if !stef::telemetry::COMPILED {
-        return;
-    }
     let report = run_cpd();
     assert_eq!(report.records.len(), 4, "one record per iteration");
     for rec in &report.records {
@@ -59,9 +56,6 @@ fn model_audit_is_finite_and_covers_every_mode() {
 
 #[test]
 fn jsonl_export_round_trips_through_the_bench_parser() {
-    if !stef::telemetry::COMPILED {
-        return;
-    }
     let report = run_cpd();
     let body = stef::telemetry::render_metrics_jsonl(&report);
     assert_eq!(body.lines().count(), report.records.len());
@@ -96,9 +90,6 @@ fn jsonl_export_round_trips_through_the_bench_parser() {
 /// parallel test threads must not toggle the flag underneath each other.
 #[test]
 fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
-    if !stef::telemetry::COMPILED {
-        return;
-    }
     let t = test_tensor();
 
     // Clean traced run: spans drain into the result and are well-formed.
@@ -159,9 +150,6 @@ fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
 
 #[test]
 fn stef2_reports_leaf_mode_telemetry() {
-    if !stef::telemetry::COMPILED {
-        return;
-    }
     let t = test_tensor();
     let mut engine = stef::Stef2::prepare(&t, engine_options(3));
     let report = cpd_als(&mut engine, &cpd_opts(3, 2)).expect("stef2 run").telemetry;
