@@ -61,8 +61,7 @@ extern "C" fn on_signal(_signum: i32) {
 
 extern "C" fn on_sigusr1(_signum: i32) {
     // One relaxed atomic store — async-signal-safe. The actual file
-    // write happens on a normal thread: the watchdog below, or the
-    // serve accept loop's idle poll, whichever sees the flag first.
+    // write happens on a normal thread: the watchdog below.
     stef::flight::request_dump();
 }
 
@@ -120,9 +119,8 @@ pub fn install(token: &CancelToken) -> CancelScope {
 fn watchdog() {
     loop {
         std::thread::sleep(Duration::from_millis(50));
-        // SIGUSR1 service for non-serve commands (the serve accept
-        // loop polls the same one-shot flag at a faster cadence, so
-        // under a running daemon it usually wins the swap).
+        // SIGUSR1 service for every command, `stef serve` included:
+        // this is the one consumer of the one-shot dump flag.
         if stef::flight::take_dump_request() {
             if let Some(path) = stef::flight::dump("sigusr1") {
                 stef::telemetry::info("cancel", || {

@@ -7,6 +7,7 @@
 //!   journal (auto-resume), and must converge to the **bit-identical**
 //!   checksum — the journal + checkpoint replay is exact, not
 //!   approximate;
+//! * SIGUSR1 dumps the flight recorder into `$STEF_FLIGHT_DIR`;
 //! * SIGTERM drains gracefully: admission stops, the journal is
 //!   compacted, and the process exits 0.
 
@@ -67,6 +68,7 @@ fn spawn_daemon(dir: &Path) -> Daemon {
             "--drain-grace-ms",
             "10000",
         ])
+        .env("STEF_FLIGHT_DIR", dir)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -145,22 +147,14 @@ fn model_checksum(addr: &str) -> String {
         .to_string()
 }
 
-fn sigterm(child: &Child) {
+/// `kill -<signal> <pid>`, e.g. `signal(child, "TERM")`.
+fn signal(child: &Child, signal: &str) {
     let ok = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
+        .args([&format!("-{signal}"), &child.id().to_string()])
         .status()
-        .expect("kill -TERM")
+        .expect("kill")
         .success();
-    assert!(ok, "kill -TERM failed");
-}
-
-fn sigkill(child: &Child) {
-    let ok = Command::new("kill")
-        .args(["-9", &child.id().to_string()])
-        .status()
-        .expect("kill -9")
-        .success();
-    assert!(ok, "kill -9 failed");
+    assert!(ok, "kill -{signal} failed");
 }
 
 /// The shared refit job: deterministic single-threaded reference
@@ -187,7 +181,21 @@ fn kill9_resume_is_bit_identical_and_sigterm_drains_exit_0() {
     await_done(&daemon.addr, 0);
     let reference_checksum = model_checksum(&daemon.addr);
 
-    sigterm(&daemon.child);
+    // SIGUSR1 only sets a flag; the CLI's cancel watchdog writes the
+    // dump, and the daemon keeps serving.
+    signal(&daemon.child, "USR1");
+    let dump = ref_dir.join(format!("stef-flight-{}-sigusr1.log", daemon.child.id()));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !dump.exists() {
+        assert!(
+            Instant::now() < deadline,
+            "no flight dump at {} within 5 s",
+            dump.display()
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+
+    signal(&daemon.child, "TERM");
     let status = daemon.child.wait().expect("daemon exit");
     assert_eq!(status.code(), Some(0), "SIGTERM drain must exit 0: {status:?}");
     // Drain compacted the journal: rescanning it must show only
@@ -226,7 +234,7 @@ fn kill9_resume_is_bit_identical_and_sigterm_drains_exit_0() {
         r.contains("\"status\":\"running\""),
         "job finished before the kill could land ({r}); enlarge the tensor or iters"
     );
-    sigkill(&daemon.child);
+    signal(&daemon.child, "9");
     daemon.child.wait().expect("killed daemon reaped");
 
     // Restart on the same journal: auto-resume must finish job 0 from
@@ -240,7 +248,7 @@ fn kill9_resume_is_bit_identical_and_sigterm_drains_exit_0() {
     );
 
     // The resumed daemon also drains cleanly.
-    sigterm(&daemon.child);
+    signal(&daemon.child, "TERM");
     let status = daemon.child.wait().expect("resumed daemon exit");
     assert_eq!(status.code(), Some(0), "{status:?}");
 

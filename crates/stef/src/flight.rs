@@ -13,8 +13,8 @@
 //!   *before* any `catch_unwind`, so even a panic the worker pool heals
 //!   leaves a postmortem behind;
 //! - on `SIGUSR1`: the async-signal-safe handler just calls
-//!   [`request_dump`] (one relaxed store); the serve accept loop and
-//!   the CLI cancel watchdog poll [`take_dump_request`];
+//!   [`request_dump`] (one relaxed store); the CLI cancel watchdog,
+//!   installed with that handler, polls [`take_dump_request`];
 //! - on `StefError` CLI exits, so a failed run keeps its last moments.
 //!
 //! Events are dropped, never blocked on: a ring overwrites its oldest
@@ -244,7 +244,8 @@ pub fn dump(reason: &str) -> Option<PathBuf> {
 static DUMP_REQ: AtomicBool = AtomicBool::new(false);
 
 /// Async-signal-safe: one relaxed store. Called from the SIGUSR1
-/// handler; serviced by whichever poll loop sees it first.
+/// handler; serviced by a thread polling [`take_dump_request`] (the
+/// CLI's cancel watchdog).
 pub fn request_dump() {
     DUMP_REQ.store(true, Relaxed);
 }

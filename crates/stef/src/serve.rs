@@ -56,8 +56,8 @@ use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
 use crate::telemetry;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -97,9 +97,10 @@ pub struct ServeConfig {
     /// `max_conn_lifetime + read_timeout`.
     pub max_conn_lifetime: Duration,
     /// Interval between periodic [`crate::metrics`] flushes into the
-    /// supervisor's JSONL metrics sink (`Duration::ZERO` disables the
-    /// flusher). Each flush is one `"kind":"metrics_flush"` line, so a
-    /// long-running daemon leaves a coarse time series behind even if
+    /// supervisor's JSONL metrics sink (`Duration::ZERO` disables
+    /// flushing; the housekeeping tick that wakes the acceptor at stop
+    /// still runs). Each flush is one `"kind":"metrics_flush"` line, so
+    /// a long-running daemon leaves a coarse time series behind even if
     /// nobody ever scrapes `/metrics`.
     pub metrics_flush: Duration,
 }
@@ -228,15 +229,15 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
         };
+        let accepting = AtomicBool::new(true);
         let report = std::thread::scope(|s| {
             let runner = s.spawn(|| self.sup.run_service(&job_stop));
             for _ in 0..self.cfg.handler_threads.max(1) {
                 s.spawn(|| self.handler_loop(&conns));
             }
-            if !self.cfg.metrics_flush.is_zero() {
-                s.spawn(|| self.flusher_loop());
-            }
+            s.spawn(|| self.ticker_loop(&accepting));
             self.accept_loop(&conns);
+            accepting.store(false, Ordering::Release);
 
             // --- drain ---
             self.sup.begin_drain();
@@ -279,12 +280,13 @@ impl Server {
         report
     }
 
+    /// Blocks in `accept`; at stop [`Server::ticker_loop`]'s throwaway
+    /// connection wakes it, and whatever it accepts then is dropped
+    /// unserved, so the wake reaches no handler and no counter.
     fn accept_loop(&self, conns: &ConnQueue) {
-        // Non-blocking accept so the loop observes the stop token even
-        // when no client ever connects.
-        let _ = self.listener.set_nonblocking(true);
         while !self.stop.is_cancelled() {
             match self.listener.accept() {
+                Ok(_) if self.stop.is_cancelled() => return,
                 Ok((stream, _peer)) => {
                     let mut queue = lock_unpoisoned(&conns.queue);
                     if queue.len() >= self.cfg.accept_backlog.max(1) {
@@ -305,10 +307,7 @@ impl Server {
                         conns.cv.notify_one();
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.poll_dump_request();
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                // EMFILE/ENFILE and the like: back off instead of spinning.
                 Err(e) => {
                     telemetry::debug("serve", || format!("accept error: {e}"));
                     std::thread::sleep(Duration::from_millis(5));
@@ -317,36 +316,34 @@ impl Server {
         }
     }
 
-    /// Services a pending flight-recorder dump request (the CLI's
-    /// SIGUSR1 handler merely sets a flag; the actual file write has to
-    /// happen on a normal thread, and the accept loop's idle poll is
-    /// the one place guaranteed to run regularly while serving).
-    fn poll_dump_request(&self) {
-        if crate::flight::take_dump_request() {
-            match crate::flight::dump("sigusr1") {
-                Some(path) => telemetry::info("serve", || {
-                    format!("flight recorder dumped to {}", path.display())
-                }),
-                None => telemetry::info("serve", || {
-                    "flight recorder dump requested, but the buffer is empty".into()
-                }),
-            }
+    /// The server's 50 ms housekeeping tick: flushes the registry into
+    /// the supervisor's JSONL metrics sink every
+    /// [`ServeConfig::metrics_flush`] (never, when zero), and once the
+    /// stop token fires, connects to wake the blocked acceptor — every
+    /// tick until `accepting` clears, so a lost wake cannot hang the
+    /// drain.
+    fn ticker_loop(&self, accepting: &AtomicBool) {
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-    }
-
-    /// Periodic registry flush into the supervisor's JSONL metrics
-    /// sink. Exits when the stop token fires; the short sleep keeps the
-    /// drain from waiting on a full flush interval.
-    fn flusher_loop(&self) {
+        let tick = Duration::from_millis(50);
         let mut next = Instant::now() + self.cfg.metrics_flush;
-        while !self.stop.is_cancelled() {
-            std::thread::sleep(Duration::from_millis(50));
-            if Instant::now() < next {
-                continue;
+        loop {
+            std::thread::sleep(tick);
+            if self.stop.is_cancelled() {
+                if !accepting.load(Ordering::Acquire) {
+                    return;
+                }
+                let _ = TcpStream::connect_timeout(&wake, tick);
+            } else if !self.cfg.metrics_flush.is_zero() && Instant::now() >= next {
+                next = Instant::now() + self.cfg.metrics_flush;
+                let line = crate::metrics::render_flush_jsonl(telemetry::uptime_seconds());
+                self.sup.append_metrics_line(&line);
             }
-            next = Instant::now() + self.cfg.metrics_flush;
-            let line = crate::metrics::render_flush_jsonl(telemetry::uptime_seconds());
-            self.sup.append_metrics_line(&line);
         }
     }
 
@@ -1390,6 +1387,58 @@ mod tests {
         // process-global, so >= not ==: parallel tests also count.)
         assert!(value("stef_http_requests_total") >= 1.0, "{text}");
         assert!(value("stef_jobs_completed_total") >= 1.0, "{text}");
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stop_wakes_a_blocked_acceptor() {
+        let dir = tmp_dir("wake");
+        let store = Arc::new(SnapshotStore::new());
+        let scfg = SupervisorConfig::new(dir.join("serve.journal"), dir.join("ckpts"));
+        let sup = Arc::new(Supervisor::new(scfg, loader(), factory()).unwrap());
+        let stop = CancelToken::new();
+        // The unspecified address: the stop wake must connect to
+        // loopback, and no client ever wakes the acceptor.
+        let server = Arc::new(
+            Server::bind(ServeConfig::new("0.0.0.0:0"), sup, store, stop.clone()).unwrap(),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = Arc::clone(&server);
+        let thread = std::thread::spawn(move || {
+            runner.run();
+            let _ = tx.send(());
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        stop.cancel();
+        rx.recv_timeout(Duration::from_secs(2))
+            .expect("run() must return within 2 s of the stop");
+        thread.join().unwrap();
+        // The wake connection was dropped, not served.
+        assert_eq!(server.stats.queries.load(Ordering::Relaxed), 0);
+        assert_eq!(server.stats.busy_rejected.load(Ordering::Relaxed), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fresh_connection_reads_are_not_paced_by_a_poll() {
+        let (server, dir) = TestServer::start(|_| {});
+        let mut micros: Vec<u128> = (0..40)
+            .map(|_| {
+                let t = Instant::now();
+                let (status, body) = server.request("GET", "/healthz", "");
+                assert_eq!(status, 200, "{body}");
+                t.elapsed().as_micros()
+            })
+            .collect();
+        micros.sort_unstable();
+        // A timer-polled acceptor makes each fresh connection wait out
+        // most of its sleep (~5 ms); a blocking one answers in ~0.1 ms.
+        assert!(
+            micros[20] < 2000,
+            "median fresh-connection read {} us: {micros:?}",
+            micros[20]
+        );
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
