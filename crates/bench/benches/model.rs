@@ -3,7 +3,7 @@
 //! Figure 5 and the claim that the model search is effectively free.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sptensor::{build_csf, count_fibers_if_last_two_swapped};
+use sptensor::{build_csf, count_fibers_if_last_two_swapped_on};
 use stef::{
     model::{best_memo_set, choose_plan},
     LevelProfile,
@@ -23,7 +23,8 @@ fn bench_model(c: &mut Criterion) {
         let order: Vec<usize> = (0..dims.len()).collect();
         let csf = build_csf(&t, &order);
         group.bench_with_input(BenchmarkId::new("algorithm9", label), &csf, |b, csf| {
-            b.iter(|| count_fibers_if_last_two_swapped(csf))
+            // On the process-wide pool (`STEF_NUM_THREADS` wide).
+            b.iter(|| count_fibers_if_last_two_swapped_on(stef::runtime::global(), csf))
         });
         let base = LevelProfile::from_csf(&csf, 32, 16 << 20);
         let swapped = LevelProfile::swapped_from_csf(&csf, 32, 16 << 20);

@@ -93,8 +93,9 @@ impl Drop for CancelScope {
 
 /// Installs `token` as the run's cancellation token: registers the
 /// SIGINT/SIGTERM handlers (once per process), points the watchdog at
-/// the token, and mirrors it onto the global executor so `linalg::par`
-/// fan-outs also observe it. Returns a guard that undoes the
+/// the token, and mirrors it onto the global executor so fan-outs on
+/// that pool (`sync::fanout`, and the dense update of engines without a
+/// pool of their own) also observe it. Returns a guard that undoes the
 /// installation on drop.
 pub fn install(token: &CancelToken) -> CancelScope {
     match current().lock() {

@@ -4,7 +4,7 @@
 use crate::args::{parse, FlagSpec};
 use crate::commands::apply_simd_flag;
 use crate::tensor_source::load;
-use sptensor::{build_csf, count_fibers_if_last_two_swapped, sort_modes_by_length, TensorStats};
+use sptensor::{build_csf, count_fibers_if_last_two_swapped_on, sort_modes_by_length, TensorStats};
 use stef::{LevelProfile, MttkrpEngine, Stef, StefOptions};
 use workloads::SuiteScale;
 
@@ -41,8 +41,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "  root slices: {} (imbalance {:.2}x) — slice scheduling would cap at {} busy threads",
         stats.root_slices, stats.slice_imbalance, stats.root_slices
     );
+    let mut opts = StefOptions::new(rank);
+    opts.cache_bytes = cache_mb << 20;
+    opts.num_threads = threads;
+    let mut engine = Stef::prepare(&t, opts.clone());
     let d = csf.ndim();
-    let swapped = count_fibers_if_last_two_swapped(&csf);
+    // Fanned out on the engine's pool, `--threads` wide.
+    let swapped = count_fibers_if_last_two_swapped_on(engine.executor(), &csf)
+        .expect("the engine's pool has no cancel token");
     println!(
         "  Algorithm 9: level-{} fibers {} (base) vs {} (last two modes swapped)",
         d - 2,
@@ -50,10 +56,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         swapped
     );
 
-    let mut opts = StefOptions::new(rank);
-    opts.cache_bytes = cache_mb << 20;
-    opts.num_threads = threads;
-    let mut engine = Stef::prepare(&t, opts.clone());
     let plan = engine.plan();
     println!("\nSTeF plan (R={rank}, cache {cache_mb} MiB):");
     println!("  swap last two modes: {}", plan.swap_last_two);

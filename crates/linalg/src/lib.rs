@@ -13,8 +13,9 @@
 //! This crate implements all of those from scratch on a single row-major
 //! [`Mat`] type. Everything is `f64`; matrices in CP-ALS are tall-skinny
 //! (`N × R` with `R ∈ {8..128}`) or tiny (`R × R`), so a cache-friendly
-//! row-major layout with row loops fanned out through [`par`] is all that
-//! is needed.
+//! row-major layout with row blocks fanned out on a caller-supplied
+//! [`par::Fanout`] is all that is needed. [`update`] fuses a whole CP-ALS
+//! mode update (solve, normalize, Gram) into two passes over the factor.
 //!
 //! The solve path ([`solve::solve_gram_system`]) mirrors what SPLATT and
 //! AdaTM do in practice: Cholesky on the symmetric positive semi-definite
@@ -28,10 +29,11 @@ pub mod ops;
 pub mod par;
 pub mod simd;
 pub mod solve;
+pub mod update;
 
 pub use mat::Mat;
 pub use norms::{column_norms, normalize_columns};
-pub use ops::{gram, hadamard_inplace, matmul, transpose};
+pub use ops::{gram, gram_on, hadamard_inplace, matmul, matmul_on, transpose};
 pub use solve::{
     cholesky_factor, solve_gram_system, try_solve_gram_system, try_solve_gram_system_ridged,
     SolveError, SolveMethod,

@@ -3,96 +3,96 @@
 //! The interesting one is [`gram`]: CP-ALS forms `V` as the Hadamard
 //! product of the Gram matrices `A⁽ⁱ⁾ᵀ A⁽ⁱ⁾` of every factor except the
 //! one being updated (paper Algorithm 2, lines 2/5/8/11). Grams of
-//! tall-skinny matrices are computed as a parallel sum of rank-1 row
-//! outer products, which touches each factor row exactly once. The
-//! parallel loops fan out through [`crate::par`], so in a full engine
-//! build they run on the same persistent worker pool as the sparse
-//! kernels instead of spawning scoped threads per call.
+//! tall-skinny matrices are computed as a sum of per-block partials of
+//! rank-1 row outer products, which touches each factor row exactly
+//! once. [`gram_on`] runs the blocks on an executor the caller passes
+//! in (the CPD driver passes its engine's pool); [`gram`] runs them
+//! inline. [`gram_block`] and [`reduce_gram`] fix the order of every
+//! Gram sum, here and in the mode update of [`crate::update`].
 
-use crate::{par, Mat};
+use crate::par::{self, Cancelled, Fanout, SharedSlice};
+use crate::simd::SimdPath;
+use crate::Mat;
 
-/// Minimum number of rows before [`gram`] and [`matmul`] bother spawning
-/// parallel work; tiny matrices are faster sequentially.
-const PAR_THRESHOLD: usize = 2048;
-
-/// Computes the Gram matrix `Aᵀ A` (`cols × cols`).
-///
-/// For the tall-skinny factors of CP-ALS this is the dominant dense cost;
-/// it is parallelized over row blocks (accumulating only the upper
-/// triangle per row) with a final reduction and symmetrization.
+/// Computes the Gram matrix `Aᵀ A` (`cols × cols`) inline. See
+/// [`gram_on`].
 pub fn gram(a: &Mat) -> Mat {
-    let r = a.cols();
-    if a.rows() < PAR_THRESHOLD {
-        let mut g = gram_serial(a);
-        symmetrize(&mut g);
-        return g;
+    par::inline(gram_on(&par::Inline, a))
+}
+
+/// Computes the Gram matrix `Aᵀ A` on `exec`: upper-triangle partials
+/// per block of rows (`par::row_block`), summed in block order and
+/// mirrored. Every element is a multiply then an add per row, in row
+/// order, on every SIMD path, so the result is bitwise the same for any
+/// executor and any path.
+pub fn gram_on(exec: &dyn Fanout, a: &Mat) -> Result<Mat, Cancelled> {
+    let (rows, r) = (a.rows(), a.cols());
+    if r == 0 {
+        return Ok(Mat::zeros(0, 0));
     }
-    // Chunking depends only on the hardware worker count — never on the
-    // executor actually running the fan-out — so the summation order
-    // (and therefore every bit of the result) is identical whether the
-    // blocks run on the pool, on scoped threads, or inline.
-    let chunk = (a.rows() / par::workers().max(1)).max(256);
-    let nchunks = a.rows().div_ceil(chunk);
+    let block = par::row_block(rows);
+    let nblocks = rows.div_ceil(block);
     let data = a.as_slice();
-    let mut partials = vec![0.0; nchunks * r * r];
+    let path = crate::simd::active();
+    let mut partials = vec![0.0; nblocks * r * r];
     {
-        let shared = par::SharedSlice::new(&mut partials);
-        par::fanout(nchunks, &|ci| {
+        let shared = SharedSlice::new(&mut partials);
+        exec.try_run(nblocks, &|bi| {
             // SAFETY: each task owns exactly its own r×r partial block.
-            let acc = unsafe { shared.range_mut(ci * r * r, (ci + 1) * r * r) };
-            let lo = ci * chunk * r;
-            let hi = ((ci + 1) * chunk * r).min(data.len());
-            for row in data[lo..hi].chunks_exact(r) {
-                accumulate_outer(acc, row, r);
-            }
-        });
+            let acc = unsafe { shared.range_mut(bi * r * r, (bi + 1) * r * r) };
+            let (lo, hi) = (bi * block, ((bi + 1) * block).min(rows));
+            gram_block(path, acc, &data[lo * r..hi * r], r);
+        })?;
     }
-    // Parallel element-wise reduction of the per-block partials. Each
-    // output element sums its partials in block order, so the result is
-    // bit-identical to the serial reduction regardless of how the blocks
-    // are distributed across workers.
-    let mut out = vec![0.0; r * r];
-    let red_chunk = (r * r / par::workers().max(1)).max(64);
-    let nred = (r * r).div_ceil(red_chunk);
-    {
-        let shared = par::SharedSlice::new(&mut out);
-        par::fanout(nred, &|ci| {
-            let base = ci * red_chunk;
-            let end = (base + red_chunk).min(r * r);
-            // SAFETY: each task owns a disjoint output element range.
-            let dst = unsafe { shared.range_mut(base, end) };
-            for p in partials.chunks_exact(r * r) {
-                for (o, &v) in dst.iter_mut().zip(&p[base..end]) {
-                    *o += v;
+    Ok(reduce_gram(&partials, r))
+}
+
+/// Rows per Gram tile: the accumulator tile stays in registers across
+/// this many rows, whose values stay in L1.
+pub(crate) const GRAM_TILE: usize = 16;
+
+/// `acc += Σ row ⊗ row` over the whole rows of `rows`, one row block's
+/// upper-triangle partial (entries left of the diagonal inside a SIMD
+/// block are accumulated too and overwritten by [`reduce_gram`]'s
+/// mirroring). Each element is a multiply then an add per row, in row
+/// order, on every path, so all paths agree bit for bit, and feeding a
+/// block in consecutive pieces gives the same bits as one call.
+pub(crate) fn gram_block(path: SimdPath, acc: &mut [f64], rows: &[f64], r: usize) {
+    match path {
+        #[cfg(target_arch = "x86_64")]
+        SimdPath::Avx2 => {
+            assert!(path.available(), "avx2 kernels on a CPU without avx2");
+            for tile in rows.chunks(GRAM_TILE * r) {
+                // SAFETY: the CPU has avx2, asserted above.
+                unsafe { avx2::gram_tile(acc, tile, r) }
+            }
+        }
+        _ => {
+            for row in rows.chunks_exact(r) {
+                for i in 0..r {
+                    let ri = row[i];
+                    let dst = &mut acc[i * r..(i + 1) * r];
+                    for (d, &rj) in dst.iter_mut().zip(row).skip(i) {
+                        *d += ri * rj;
+                    }
                 }
             }
-        });
+        }
+    }
+}
+
+/// Sums `r × r` block partials element by element in block order, then
+/// mirrors the upper triangle.
+pub(crate) fn reduce_gram(partials: &[f64], r: usize) -> Mat {
+    let mut out = vec![0.0; r * r];
+    for p in partials.chunks_exact(r * r) {
+        for (o, &v) in out.iter_mut().zip(p) {
+            *o += v;
+        }
     }
     let mut g = Mat::from_vec(r, r, out);
     symmetrize(&mut g);
     g
-}
-
-fn gram_serial(a: &Mat) -> Mat {
-    let r = a.cols();
-    let mut acc = vec![0.0; r * r];
-    for row in a.as_slice().chunks_exact(r.max(1)) {
-        accumulate_outer(&mut acc, row, r);
-    }
-    Mat::from_vec(r, r, acc)
-}
-
-/// `acc += row ⊗ row`, upper triangle only; mirrored once at the end of
-/// `gram` rather than per row.
-#[inline]
-fn accumulate_outer(acc: &mut [f64], row: &[f64], r: usize) {
-    for i in 0..r {
-        let ri = row[i];
-        let dst = &mut acc[i * r..(i + 1) * r];
-        for (d, &rj) in dst.iter_mut().zip(row).skip(i) {
-            *d += ri * rj;
-        }
-    }
 }
 
 /// Copies the upper triangle onto the lower triangle in-place.
@@ -117,55 +117,45 @@ pub fn hadamard_inplace(a: &mut Mat, b: &Mat) {
     }
 }
 
-/// Plain dense matrix product `A · B`.
-///
-/// Used only on small operands (`R × R` solves, reference code, fit
-/// computation); an i-k-j loop ordering keeps the inner loop streaming.
+/// Plain dense matrix product `A · B`, inline. See [`matmul_on`].
 pub fn matmul(a: &Mat, b: &Mat) -> Mat {
+    par::inline(matmul_on(&par::Inline, a, b))
+}
+
+/// Dense matrix product `A · B` on `exec`, over the row blocks of
+/// `par::row_block`. Each output row is one i-k-j loop (the inner loop
+/// streams a row of `B`) run by one task, so the result is bitwise the
+/// same for any executor.
+pub fn matmul_on(exec: &dyn Fanout, a: &Mat, b: &Mat) -> Result<Mat, Cancelled> {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Mat::zeros(m, n);
-    if m >= PAR_THRESHOLD {
-        // Row *blocks* rather than single rows: far fewer parallel tasks
-        // and each worker streams over a contiguous output range. Every
-        // output element is computed by exactly one task with the same
-        // per-element summation order as the serial loop, so the result
-        // is bit-identical for any executor.
-        let block = (m / par::workers().max(1)).max(256);
-        let nblocks = m.div_ceil(block);
-        let shared = par::SharedSlice::new(out.as_mut_slice());
-        par::fanout(nblocks, &|ci| {
-            let row0 = ci * block;
-            let row1 = (row0 + block).min(m);
-            // SAFETY: each task owns a disjoint block of output rows.
-            let oblock = unsafe { shared.range_mut(row0 * n, row1 * n) };
-            for (local, orow) in oblock.chunks_exact_mut(n).enumerate() {
-                let i = row0 + local;
-                for p in 0..k {
-                    let aip = a[(i, p)];
-                    if aip != 0.0 {
-                        for (o, &bv) in orow.iter_mut().zip(b.row(p)) {
-                            *o += aip * bv;
-                        }
-                    }
-                }
+    let (rows, n) = (a.rows(), b.cols());
+    let block = par::row_block(rows);
+    let mut out = Mat::zeros(rows, n);
+    {
+        let shared = SharedSlice::new(out.as_mut_slice());
+        exec.try_run(rows.div_ceil(block), &|bi| {
+            let (lo, hi) = (bi * block, ((bi + 1) * block).min(rows));
+            // SAFETY: each task owns the disjoint output rows `lo..hi`.
+            let o = unsafe { shared.range_mut(lo * n, hi * n) };
+            for (i, orow) in (lo..hi).zip(o.chunks_exact_mut(n.max(1))) {
+                mul_row_into(orow, a.row(i), b);
             }
-        });
-    } else {
-        for i in 0..m {
-            for p in 0..k {
-                let aip = a[(i, p)];
-                if aip != 0.0 {
-                    let brow = b.row(p);
-                    let orow = out.row_mut(i);
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += aip * bv;
-                    }
-                }
+        })?;
+    }
+    Ok(out)
+}
+
+/// `out += a_row · B`, skipping zero entries of `a_row`: one row of
+/// [`matmul`], which the LU fallback of the mode update reuses so its
+/// rows are bitwise equal to a `matmul` by the inverse.
+pub(crate) fn mul_row_into(out: &mut [f64], a_row: &[f64], b: &Mat) {
+    for (p, &aip) in a_row.iter().enumerate() {
+        if aip != 0.0 {
+            for (o, &bv) in out.iter_mut().zip(b.row(p)) {
+                *o += aip * bv;
             }
         }
     }
-    out
 }
 
 /// Matrix transpose.
@@ -195,6 +185,46 @@ pub fn frob_inner(a: &Mat, b: &Mat) -> f64 {
         .zip(b.as_slice())
         .map(|(x, y)| x * y)
         .sum()
+}
+
+/// AVX2 Gram tile: multiplies and adds are separate instructions;
+/// nothing is fused.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use core::arch::x86_64::*;
+
+    /// `acc += Σ row ⊗ row` over at most `GRAM_TILE` rows: each 4-wide
+    /// accumulator block is loaded once, takes every row in order, and
+    /// is stored once.
+    ///
+    /// # Safety
+    /// The CPU must support avx2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gram_tile(acc: &mut [f64], rows: &[f64], r: usize) {
+        assert!(acc.len() >= r * r && rows.len().is_multiple_of(r));
+        let n = rows.len() / r;
+        let (a, x) = (acc.as_mut_ptr(), rows.as_ptr());
+        let r4 = r & !3;
+        for i in 0..r {
+            let mut j = i & !3;
+            while j < r4 {
+                let mut s = _mm256_loadu_pd(a.add(i * r + j));
+                for m in 0..n {
+                    let xi = _mm256_set1_pd(*x.add(m * r + i));
+                    s = _mm256_add_pd(s, _mm256_mul_pd(xi, _mm256_loadu_pd(x.add(m * r + j))));
+                }
+                _mm256_storeu_pd(a.add(i * r + j), s);
+                j += 4;
+            }
+            for j in i.max(r4)..r {
+                let mut s = *a.add(i * r + j);
+                for m in 0..n {
+                    s += *x.add(m * r + i) * *x.add(m * r + j);
+                }
+                *a.add(i * r + j) = s;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -262,6 +292,30 @@ mod tests {
         assert_eq!(c.cols(), 4);
         // Spot check c[1][2] = Σ_p a[1][p] * b[p][2] = 1*0 + 2*2 + 3*4 = 16.
         assert_eq!(c[(1, 2)], 16.0);
+    }
+
+    /// Runs the tasks last to first, as no real executor would.
+    struct Reversed;
+    impl Fanout for Reversed {
+        fn try_run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), Cancelled> {
+            (0..tasks).rev().for_each(f);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn matmul_and_gram_are_bitwise_equal_in_any_task_order() {
+        let a = Mat::from_fn(5000, 5, |i, j| ((i * 31 + j * 7) % 23) as f64 * 0.37 - 3.0);
+        let b = Mat::from_fn(5, 4, |i, j| (i as f64 + 0.5) / (j as f64 + 1.5));
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let serial = matmul(&a, &b);
+        assert_eq!(bits(&matmul_on(&Reversed, &a, &b).unwrap()), bits(&serial));
+        assert_mat_approx_eq(
+            &serial,
+            &Mat::from_fn(5000, 4, |i, j| (0..5).map(|p| a[(i, p)] * b[(p, j)]).sum()),
+            1e-12,
+        );
+        assert_eq!(bits(&gram_on(&Reversed, &a).unwrap()), bits(&gram(&a)));
     }
 
     #[test]

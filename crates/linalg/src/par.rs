@@ -1,45 +1,68 @@
-//! Pluggable parallel fan-out for the dense-algebra hot spots.
+//! Fan-out for the dense-algebra hot spots, on an executor the caller
+//! passes in.
 //!
-//! `gram`, `matmul`, the normal-equations solve (and `sptensor`'s
-//! swap-count pass) want the same execution primitive as the sparse
-//! kernels: "run `f(i)` once for each task `0..tasks`, then join". The
-//! persistent worker-pool runtime that provides this lives in
-//! `stef-core`, which *depends on* this crate — so the pool cannot be
-//! named here. Instead this module holds a plain function-pointer hook
-//! ([`install_fanout`]). `stef-core` installs a bridge to its global
-//! pool the first time `runtime::global()` is called (the `sync::fanout`
-//! free function, the kernel convenience wrappers, the CLI's cancel
-//! hook); from then on every dense fan-out runs on that pool. Building
-//! an engine and running `cpd_als` does not call it, so in such a
-//! process — and in builds that never touch `stef-core` — a
-//! scoped-thread fallback with the same semantics runs at hardware
-//! width, outside `STEF_NUM_THREADS` and the pool's cancel token and
-//! counters.
+//! `gram`, the CP-ALS mode update and `sptensor`'s swap-count pass want
+//! the same execution primitive as the sparse kernels: "run `f(i)` once
+//! for each task `0..tasks`, then join". The persistent worker pool that
+//! provides this lives in `stef-core`, which *depends on* this crate, so
+//! the pool cannot be named here. Instead each parallel entry point
+//! takes a [`Fanout`]: `stef-core`'s `runtime::Executor` implements it,
+//! so the CPD driver runs the dense update on the engine's own pool
+//! (its `STEF_NUM_THREADS` width, cancel token and counters), and
+//! [`Inline`] runs the tasks in order on the caller, which is what the
+//! signature-stable wrappers (`ops::gram`, `solve::try_solve_gram_system`,
+//! the swap count) use.
 //!
-//! The hook is deliberately a `fn`, not a boxed closure: installing it
-//! is a single atomic store, reading it is a single atomic load, and
-//! dispatching through it allocates nothing.
+//! Work is split by `row_block`, a function of the row count and the
+//! hardware width ([`workers`]) only, never of the executor. Every
+//! combining step reduces per-block partials in block order, so results
+//! are bitwise identical whichever executor runs the blocks.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The fan-out primitive: run `f(i)` exactly once for every
-/// `i in 0..tasks`, returning only after all tasks completed.
-pub type FanoutFn = fn(usize, &(dyn Fn(usize) + Sync));
+/// A fan-out that stopped before running every task: the executor's
+/// cancellation token fired. Tasks already started ran to completion;
+/// the outputs of a cut-short fan-out are incomplete and must be
+/// discarded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cancelled;
 
-static HOOK: AtomicUsize = AtomicUsize::new(0);
-
-/// Installs the process-wide fan-out implementation. Later installs
-/// overwrite earlier ones; concurrent readers see either hook, both of
-/// which satisfy the fan-out contract.
-pub fn install_fanout(hook: FanoutFn) {
-    HOOK.store(hook as usize, Ordering::Release);
+impl std::fmt::Display for Cancelled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("fan-out cancelled")
+    }
 }
 
-/// Available hardware parallelism, probed once. Chunking decisions in
-/// `gram`/`matmul` use this — never the executor's worker count — so
-/// the *decomposition* of the work (and therefore every floating-point
-/// summation order) is identical no matter which hook runs it.
+impl std::error::Error for Cancelled {}
+
+/// An executor for the dense fan-outs.
+pub trait Fanout {
+    /// Runs `f(i)` for every task `0..tasks` and joins. `Err(Cancelled)`
+    /// reports that some tasks were skipped.
+    fn try_run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), Cancelled>;
+}
+
+/// Runs every task in order on the calling thread; never cancels.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Inline;
+
+impl Fanout for Inline {
+    fn try_run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), Cancelled> {
+        (0..tasks).for_each(f);
+        Ok(())
+    }
+}
+
+/// Unwraps the result of a computation run on [`Inline`], which cannot
+/// be cancelled.
+pub fn inline<T>(r: Result<T, Cancelled>) -> T {
+    r.expect("an inline fan-out runs every task")
+}
+
+/// Available hardware parallelism, probed once. Blocking decisions use
+/// this, never the executor's worker count, so the decomposition of the
+/// work (and therefore every floating-point summation order) is the
+/// same no matter which executor runs it.
 pub fn workers() -> usize {
     static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *HW.get_or_init(|| {
@@ -49,42 +72,19 @@ pub fn workers() -> usize {
     })
 }
 
-/// Runs `f(i)` for every task `0..tasks` on the installed hook, or on
-/// scoped threads (static contiguous blocks) when no hook is installed.
-pub fn fanout(tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-    if tasks == 0 {
-        return;
+/// Row count below which a dense pass runs as one block.
+pub(crate) const PAR_ROWS: usize = 2048;
+
+/// Rows per block of a dense pass over `rows` rows: all of them below
+/// [`PAR_ROWS`], else about one block per hardware worker and at least
+/// 256. The Gram of a factor sums its blocks' partials in block order,
+/// so this function fixes its bits.
+pub(crate) fn row_block(rows: usize) -> usize {
+    if rows < PAR_ROWS {
+        rows.max(1)
+    } else {
+        (rows / workers()).max(256)
     }
-    let h = HOOK.load(Ordering::Acquire);
-    if h != 0 {
-        // SAFETY: the address was stored from a real `FanoutFn` by
-        // `install_fanout`; fn pointers round-trip through `usize` on
-        // every supported target.
-        let hook: FanoutFn = unsafe { std::mem::transmute::<usize, FanoutFn>(h) };
-        hook(tasks, f);
-        return;
-    }
-    let w = workers().clamp(1, tasks);
-    if w == 1 {
-        for i in 0..tasks {
-            f(i);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for j in 1..w {
-            let lo = j * tasks / w;
-            let hi = (j + 1) * tasks / w;
-            scope.spawn(move || {
-                for i in lo..hi {
-                    f(i);
-                }
-            });
-        }
-        for i in 0..tasks / w {
-            f(i);
-        }
-    });
 }
 
 /// A flat buffer whose disjoint index ranges may be written concurrently
@@ -156,18 +156,26 @@ impl<'a, T> SharedSlice<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn fallback_fanout_covers_each_task_once() {
+    fn inline_runs_each_task_once_in_order() {
         for tasks in [0usize, 1, 2, 3, 7, 33] {
-            let hits: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
-            fanout(tasks, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "task {i} of {tasks}");
-            }
+            let next = AtomicUsize::new(0);
+            Inline
+                .try_run(tasks, &|i| {
+                    assert_eq!(next.fetch_add(1, Ordering::Relaxed), i);
+                })
+                .unwrap();
+            assert_eq!(next.load(Ordering::Relaxed), tasks);
         }
+    }
+
+    #[test]
+    fn row_blocks_cover_small_inputs_in_one_block() {
+        assert_eq!(row_block(0), 1);
+        assert_eq!(row_block(PAR_ROWS - 1), PAR_ROWS - 1);
+        assert!(row_block(PAR_ROWS) >= 256);
     }
 
     #[test]
@@ -177,13 +185,13 @@ mod tests {
             let shared = SharedSlice::new(&mut buf);
             assert_eq!(shared.len(), 30);
             assert!(!shared.is_empty());
-            fanout(3, &|i| {
+            inline(Inline.try_run(3, &|i| {
                 // SAFETY: each task owns a disjoint 10-element range.
                 let part = unsafe { shared.range_mut(i * 10, (i + 1) * 10) };
                 for (k, x) in part.iter_mut().enumerate() {
                     *x = i * 100 + k;
                 }
-            });
+            }));
         }
         assert_eq!(buf[0], 0);
         assert_eq!(buf[10], 100);

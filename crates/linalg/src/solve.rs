@@ -11,8 +11,10 @@
 //!    the exactly rank-deficient case.
 //!
 //! Solving is then `R` triangular substitutions applied row-by-row to the
-//! (possibly huge) right-hand-side matrix, parallelized over its rows.
+//! (possibly huge) right-hand-side matrix; [`crate::update`] runs them
+//! over row blocks, several rows per SIMD register.
 
+use crate::update::{solve_on, UpdateError};
 use crate::{par, Mat};
 
 /// Which factorization ended up being used by [`solve_gram_system`].
@@ -84,9 +86,11 @@ pub fn cholesky_factor(v: &Mat) -> Option<Mat> {
 }
 
 /// Solves `x Lᵀ = b` then implicitly `y L = x` — i.e. applies `(L Lᵀ)⁻¹`
-/// from the right to a single row `b`, in place.
+/// from the right to a single row `b`, in place. The scalar reference:
+/// the SIMD lane kernels of [`crate::update`] keep its order of
+/// operations bit for bit.
 #[inline]
-fn solve_row_cholesky(l: &Mat, row: &mut [f64]) {
+pub fn solve_row_cholesky(l: &Mat, row: &mut [f64]) {
     let n = l.rows();
     // Row-vector solve: we want row ← row · V⁻¹ = row · (L Lᵀ)⁻¹.
     // Let z solve z · Lᵀ = row  (forward substitution over columns of Lᵀ,
@@ -228,7 +232,9 @@ pub fn try_solve_gram_system(v: &Mat, b: &mut Mat) -> Result<SolveMethod, SolveE
 
 /// Like [`try_solve_gram_system`] but adds `extra_ridge` to the diagonal
 /// of `V` before solving — the escalating-ridge retry used by the CPD
-/// driver's numerical-failure recovery.
+/// driver's numerical-failure recovery. Runs inline on the caller; the
+/// driver itself solves through [`crate::update::update_mode`] on its
+/// engine's executor.
 pub fn try_solve_gram_system_ridged(
     v: &Mat,
     b: &mut Mat,
@@ -236,11 +242,38 @@ pub fn try_solve_gram_system_ridged(
 ) -> Result<SolveMethod, SolveError> {
     assert_eq!(v.rows(), v.cols());
     assert_eq!(b.cols(), v.rows(), "rhs width must match system size");
+    // Rejected inputs leave `b` untouched: the solve pass checks each
+    // row as it solves it, so check the whole input first.
     if !all_finite(v.as_slice()) {
         return Err(SolveError::NonFiniteSystem);
     }
     if !all_finite(b.as_slice()) {
         return Err(SolveError::NonFiniteRhs);
+    }
+    match solve_on(&par::Inline, v, b, extra_ridge) {
+        Ok(method) => Ok(method),
+        Err(UpdateError::Solve(e)) => Err(e),
+        Err(UpdateError::Cancelled) => unreachable!("an inline fan-out runs every task"),
+    }
+}
+
+/// The factorization a solve applies to each right-hand-side row.
+pub(crate) enum Factor {
+    /// Lower Cholesky factor `L` of `V = L Lᵀ` (plain or ridged).
+    Cholesky(Mat),
+    /// `V⁻¹` from the LU fallback; rows are multiplied by it.
+    Inverse(Mat),
+}
+
+/// Validates `V` (plus `extra_ridge` on the diagonal) and runs the
+/// Cholesky → ridged-Cholesky → LU ladder on it.
+pub(crate) fn factor_system(
+    v: &Mat,
+    extra_ridge: f64,
+) -> Result<(Factor, SolveMethod), SolveError> {
+    assert_eq!(v.rows(), v.cols());
+    if !all_finite(v.as_slice()) {
+        return Err(SolveError::NonFiniteSystem);
     }
     let n = v.rows();
     let owned;
@@ -255,8 +288,7 @@ pub fn try_solve_gram_system_ridged(
         v
     };
     if let Some(l) = cholesky_factor(v) {
-        apply_cholesky(&l, b);
-        return finish_solve(SolveMethod::Cholesky, b);
+        return Ok((Factor::Cholesky(l), SolveMethod::Cholesky));
     }
     // Ridge: scale-aware epsilon on the diagonal.
     let scale = (0..n).map(|i| v[(i, i)].abs()).fold(0.0_f64, f64::max);
@@ -265,43 +297,10 @@ pub fn try_solve_gram_system_ridged(
         ridged[(i, i)] += (scale * 1e-10).max(1e-12);
     }
     if let Some(l) = cholesky_factor(&ridged) {
-        apply_cholesky(&l, b);
-        return finish_solve(SolveMethod::RidgedCholesky, b);
+        return Ok((Factor::Cholesky(l), SolveMethod::RidgedCholesky));
     }
     let inv = lu_inverse(v).ok_or(SolveError::Singular)?;
-    let solved = crate::ops::matmul(b, &inv);
-    *b = solved;
-    finish_solve(SolveMethod::Lu, b)
-}
-
-fn finish_solve(method: SolveMethod, b: &Mat) -> Result<SolveMethod, SolveError> {
-    if all_finite(b.as_slice()) {
-        Ok(method)
-    } else {
-        Err(SolveError::NonFiniteSolution)
-    }
-}
-
-fn apply_cholesky(l: &Mat, b: &mut Mat) {
-    let (rows, r) = (b.rows(), b.cols());
-    let solve_rows = |block: &mut [f64]| {
-        for row in block.chunks_exact_mut(r.max(1)) {
-            solve_row_cholesky(l, row);
-        }
-    };
-    if rows < 1024 || r == 0 {
-        solve_rows(b.as_mut_slice());
-        return;
-    }
-    // One contiguous row block per hardware worker. Every row is solved
-    // on its own, so the blocking never changes a bit of the result.
-    let nblocks = par::workers().min(rows);
-    let shared = par::SharedSlice::new(b.as_mut_slice());
-    par::fanout(nblocks, &|bi| {
-        let (lo, hi) = (bi * rows / nblocks, (bi + 1) * rows / nblocks);
-        // SAFETY: each task owns the disjoint whole rows `lo..hi`.
-        solve_rows(unsafe { shared.range_mut(lo * r, hi * r) });
-    });
+    Ok((Factor::Inverse(inv), SolveMethod::Lu))
 }
 
 #[cfg(test)]
@@ -435,6 +434,23 @@ mod tests {
             try_solve_gram_system(&v, &mut b),
             Err(SolveError::NonFiniteRhs)
         );
+    }
+
+    #[test]
+    fn rejected_rhs_is_left_unchanged() {
+        // The bad entry sits in the last row, after rows a row-by-row
+        // solve would already have overwritten.
+        let v = spd(3, 5);
+        let mut b = Mat::from_fn(40, 3, |i, j| (i + j) as f64);
+        b[(39, 2)] = f64::INFINITY;
+        let before = b.clone();
+        assert_eq!(
+            try_solve_gram_system(&v, &mut b),
+            Err(SolveError::NonFiniteRhs)
+        );
+        assert_eq!(solve_gram_system(&v, &mut b), SolveMethod::Lu);
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&b), bits(&before));
     }
 
     #[test]

@@ -40,4 +40,4 @@ pub use iter::{NodeIter, NodeRef};
 pub use linearize::{index_bits_for, LinIndex, LinStore, Linearized, ModeMask};
 pub use permute::{inverse_permutation, sort_modes_by_length};
 pub use stats::TensorStats;
-pub use swapcount::count_fibers_if_last_two_swapped;
+pub use swapcount::{count_fibers_if_last_two_swapped, count_fibers_if_last_two_swapped_on};

@@ -14,12 +14,14 @@
 //! number of distinct leaf indices inside that node's range. Each
 //! parallel task keeps its own `observed` buffer storing the *node id*
 //! as the marker, so buffers never need clearing between nodes — the
-//! same trick the paper uses with `(i, j)` pairs. The tasks fan out
-//! through `linalg::par`, so in an engine build they run on the shared
-//! persistent worker pool; the per-chunk counts land in disjoint slots
-//! and are summed afterwards (integer sum — order-independent).
+//! same trick the paper uses with `(i, j)` pairs. The tasks fan out on
+//! the executor the caller passes in (an engine passes its own worker
+//! pool; [`count_fibers_if_last_two_swapped`] runs them inline); the
+//! per-chunk counts land in disjoint slots and are summed afterwards
+//! (integer sum — order-independent).
 
 use crate::csf::Csf;
+use linalg::par::{self, Cancelled, Fanout, SharedSlice};
 
 /// Minimum leaf count before the parallel path is taken.
 const PAR_THRESHOLD: usize = 1 << 14;
@@ -32,7 +34,14 @@ const NODE_CHUNK: usize = 64;
 /// levels were swapped, without building that CSF (Algorithm 9).
 ///
 /// For `d == 2` this is the number of distinct leaf (column) indices.
+/// Runs inline; see [`count_fibers_if_last_two_swapped_on`].
 pub fn count_fibers_if_last_two_swapped(csf: &Csf) -> usize {
+    par::inline(count_fibers_if_last_two_swapped_on(&par::Inline, csf))
+}
+
+/// [`count_fibers_if_last_two_swapped`] with the node chunks fanned out
+/// on `exec`.
+pub fn count_fibers_if_last_two_swapped_on(exec: &dyn Fanout, csf: &Csf) -> Result<usize, Cancelled> {
     let d = csf.ndim();
     let leaf_dim = csf.level_dims()[d - 1];
     if d == 2 {
@@ -45,7 +54,7 @@ pub fn count_fibers_if_last_two_swapped(csf: &Csf) -> usize {
                 count += 1;
             }
         }
-        return count;
+        return Ok(count);
     }
 
     // Nodes whose subtrees partition the leaves into independent ranges:
@@ -54,23 +63,23 @@ pub fn count_fibers_if_last_two_swapped(csf: &Csf) -> usize {
     let n_nodes = csf.nfibers(anchor);
     if csf.nnz() < PAR_THRESHOLD {
         let mut observed = vec![u64::MAX; leaf_dim];
-        return count_range(csf, anchor, 0, n_nodes, &mut observed);
+        return Ok(count_range(csf, anchor, 0, n_nodes, &mut observed));
     }
 
     let nchunks = n_nodes.div_ceil(NODE_CHUNK);
     let mut counts = vec![0usize; nchunks];
     {
-        let shared = linalg::par::SharedSlice::new(&mut counts);
-        linalg::par::fanout(nchunks, &|ci| {
+        let shared = SharedSlice::new(&mut counts);
+        exec.try_run(nchunks, &|ci| {
             let lo = ci * NODE_CHUNK;
             let hi = (lo + NODE_CHUNK).min(n_nodes);
             let mut observed = vec![u64::MAX; leaf_dim];
             // SAFETY: each task owns exactly its own count slot.
             let slot = unsafe { shared.range_mut(ci, ci + 1) };
             slot[0] = count_range(csf, anchor, lo, hi, &mut observed);
-        });
+        })?;
     }
-    counts.iter().sum()
+    Ok(counts.iter().sum())
 }
 
 /// Counts distinct `(node, leaf-fid)` pairs for nodes `[lo, hi)` at

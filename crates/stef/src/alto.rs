@@ -312,6 +312,10 @@ impl crate::engine::MttkrpEngine for AltoEngine {
     fn numa_nodes(&self) -> usize {
         self.exec.numa_nodes()
     }
+
+    fn executor(&self) -> &Executor {
+        &self.exec
+    }
 }
 
 #[cfg(test)]

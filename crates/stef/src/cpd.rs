@@ -3,7 +3,10 @@
 //! One ALS iteration updates every factor in the engine's sweep order:
 //! `Ā⁽ᵘ⁾ ← MTTKRP(T, factors ≠ u)`, then `A⁽ᵘ⁾ ← Ā⁽ᵘ⁾ V⁻¹` where `V` is
 //! the Hadamard product of the other factors' Gram matrices, then column
-//! normalization into `λ`. The fit
+//! normalization into `λ`. That dense update runs as two passes over the
+//! factor ([`linalg::update`]) on the engine's executor
+//! ([`MttkrpEngine::executor`]), so it honours the engine's width,
+//! cancel token and pool counters. The fit
 //! `1 − ‖T − [[λ; A⁰…]]‖ / ‖T‖` is computed with the standard trick that
 //! reuses the last mode's MTTKRP result, so convergence checking costs
 //! one Frobenius inner product instead of a pass over the tensor.
@@ -23,11 +26,13 @@ use crate::engine::MttkrpEngine;
 use crate::error::StefError;
 use crate::model::DegradationEvent;
 use crate::recover::{mat_is_finite, slice_is_finite, RecoveryAction, RecoveryEvents, RecoveryPolicy};
-use crate::runtime::CancelToken;
+use crate::runtime::{CancelToken, Executor};
 use crate::telemetry::{Collector, TelemetryReport};
-use linalg::norms::{normalize_columns, ColumnNorm};
-use linalg::ops::{frob_inner, gram_full, hadamard_inplace};
-use linalg::solve::{try_solve_gram_system, try_solve_gram_system_ridged, SolveMethod};
+use linalg::norms::ColumnNorm;
+use linalg::par::Cancelled;
+use linalg::ops::{frob_inner, gram_on, hadamard_inplace};
+use linalg::solve::SolveMethod;
+use linalg::update::{update_mode, UpdateError};
 use linalg::Mat;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -168,9 +173,11 @@ pub fn init_factors(dims: &[usize], rank: usize, seed: u64) -> Vec<Mat> {
 
 /// Replaces factor `m` with a fresh deterministic initialization (a seed
 /// derived from the run seed and the reinit count, so repeated reinits
-/// differ) and resets `λ` — the FactorReinit recovery rung.
+/// differ) and resets `λ` — the FactorReinit recovery rung. The fresh
+/// factor's Gram is formed on `exec`; a cancelled pass changes nothing.
 #[allow(clippy::too_many_arguments)]
 fn reinit_factor(
+    exec: &Executor,
     factors: &mut [Mat],
     grams: &mut [Mat],
     lambda: &mut [f64],
@@ -181,18 +188,19 @@ fn reinit_factor(
     recovery: &mut RecoveryEvents,
     iteration: usize,
     detail: &str,
-) {
+) -> Result<(), Cancelled> {
     *reinits_used += 1;
     let seed = base_seed ^ 0xA24BAED4963EE407u64.wrapping_mul(*reinits_used as u64);
     let fresh = init_factors(&[factors[m].rows()], rank, seed)
         .pop()
         .expect("one factor requested");
-    grams[m] = gram_full(&fresh);
+    grams[m] = gram_on(exec, &fresh)?;
     factors[m] = fresh;
     // The old λ carried scale from the discarded factor; reset and let
     // the next mode updates renormalize.
     lambda.fill(1.0);
     recovery.record(iteration, Some(m), RecoveryAction::FactorReinit, detail);
+    Ok(())
 }
 
 /// Runs one MTTKRP with panic isolation: a panic that escapes the
@@ -216,9 +224,10 @@ fn guarded_mttkrp<E: MttkrpEngine + ?Sized>(
 
 /// Builds the [`StefError::Cancelled`] for an observed cancellation,
 /// first writing the last completed iteration's state as a checkpoint
-/// when both a policy and a snapshot exist.
+/// when both a policy and a snapshot exist. `token` is the run's own
+/// token; a cancellation seen only by the engine's executor has none.
 fn cancel_error(
-    token: &CancelToken,
+    token: Option<&CancelToken>,
     iteration: usize,
     checkpoint: &Option<CheckpointPolicy>,
     last_good: &Option<Checkpoint>,
@@ -233,7 +242,7 @@ fn cancel_error(
     }
     StefError::Cancelled {
         iteration,
-        deadline: token.deadline_expired(),
+        deadline: token.is_some_and(CancelToken::deadline_expired),
         checkpoint_iteration,
     }
 }
@@ -306,7 +315,16 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
             0,
         ),
     };
-    let mut grams: Vec<Mat> = factors.iter().map(gram_full).collect();
+    // The dense update runs on the engine's pool; clone the handle so
+    // the engine stays free for `&mut` MTTKRP calls.
+    let exec = engine.executor().clone();
+    let mut grams = Vec::with_capacity(d);
+    for f in &factors {
+        let g = gram_on(&exec, f).map_err(|_| {
+            cancel_error(opts.cancel.as_ref(), start_iter + 1, &opts.checkpoint, &None, &opts.on_checkpoint)
+        })?;
+        grams.push(g);
+    }
 
     let mut converged = false;
     let mut irregular_solves = 0usize;
@@ -346,7 +364,7 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
         if let Some(token) = &opts.cancel {
             if token.expired() {
                 return Err(cancel_error(
-                    token,
+                    Some(token),
                     iterations,
                     &opts.checkpoint,
                     &last_good,
@@ -406,6 +424,7 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
                     {
                         for &m in &poisoned {
                             reinit_factor(
+                                &exec,
                                 &mut factors,
                                 &mut grams,
                                 &mut lambda,
@@ -416,7 +435,16 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
                                 &mut recovery,
                                 iterations,
                                 "non-finite input factor to MTTKRP",
-                            );
+                            )
+                            .map_err(|_| {
+                                cancel_error(
+                                    opts.cancel.as_ref(),
+                                    iterations,
+                                    &opts.checkpoint,
+                                    &last_good,
+                                    &opts.on_checkpoint,
+                                )
+                            })?;
                         }
                         // Saved partials derived from the discarded
                         // factors are stale; drop memoization.
@@ -473,6 +501,7 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
                 {
                     for &m in &poisoned {
                         reinit_factor(
+                            &exec,
                             &mut factors,
                             &mut grams,
                             &mut lambda,
@@ -483,7 +512,16 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
                             &mut recovery,
                             iterations,
                             "non-finite Gram matrix",
-                        );
+                        )
+                        .map_err(|_| {
+                            cancel_error(
+                                opts.cancel.as_ref(),
+                                iterations,
+                                &opts.checkpoint,
+                                &last_good,
+                                &opts.on_checkpoint,
+                            )
+                        })?;
                     }
                     if opts.recovery.allow_engine_fallback && engine.degrade_to_unmemoized() {
                         recovery.record(
@@ -504,64 +542,59 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
                 }
             }
 
-            let mut newf = ahat.clone();
-            match try_solve_gram_system(&v, &mut newf) {
-                Ok(method) => {
-                    if method != SolveMethod::Cholesky {
-                        irregular_solves += 1;
-                    }
-                }
-                Err(first_err) => {
-                    if !opts.recovery.enabled {
-                        return Err(StefError::Solve {
-                            iteration: iterations,
-                            mode,
-                            source: first_err,
-                        });
-                    }
-                    // Rung 1: retry with escalating extra ridge, scaled
-                    // to the system's diagonal magnitude.
-                    let diag_mean =
-                        (0..r).map(|i| v[(i, i)].abs()).sum::<f64>() / r as f64;
-                    let scale = if diag_mean > 0.0 { diag_mean } else { 1.0 };
-                    let mut last_err = first_err;
-                    let mut solved = false;
-                    for k in 1..=opts.recovery.max_ridge_retries {
-                        let ridge = scale * 1e-8 * 100f64.powi(k as i32);
-                        recovery.record(
-                            iterations,
-                            Some(mode),
-                            RecoveryAction::RidgeRetry,
-                            format!("solve failed ({last_err}); retrying with ridge {ridge:.3e}"),
-                        );
-                        newf = ahat.clone();
-                        match try_solve_gram_system_ridged(&v, &mut newf, ridge) {
-                            Ok(_) => {
-                                irregular_solves += 1;
-                                solved = true;
-                                break;
-                            }
-                            Err(e) => last_err = e,
-                        }
-                    }
-                    if !solved {
-                        return Err(StefError::Solve {
-                            iteration: iterations,
-                            mode,
-                            source: last_err,
-                        });
-                    }
-                }
-            }
-
             let norm_kind = if it == 0 {
                 ColumnNorm::Two
             } else {
                 ColumnNorm::MaxClamped
             };
-            normalize_columns(&mut newf, &mut lambda, norm_kind);
-            grams[mode] = gram_full(&newf);
-            factors[mode] = newf;
+            // Solve straight into the factor's buffer, normalize into λ
+            // and form the new Gram: two passes on the engine's pool. A
+            // pass cut short by the pool's cancel token leaves a partial
+            // factor, which only the error path below ever sees.
+            // Rung 1 of the recovery ladder: on a failed solve, retry
+            // with escalating extra ridge scaled to the system's
+            // diagonal magnitude; each retry re-reads the MTTKRP output.
+            let diag_mean = (0..r).map(|i| v[(i, i)].abs()).sum::<f64>() / r as f64;
+            let scale = if diag_mean > 0.0 { diag_mean } else { 1.0 };
+            let mut retry = 0;
+            let mut ridge = 0.0;
+            let updated = loop {
+                match update_mode(&exec, &v, &ahat, ridge, norm_kind, &mut factors[mode], &mut lambda) {
+                    Ok(u) => {
+                        if retry > 0 || u.method != SolveMethod::Cholesky {
+                            irregular_solves += 1;
+                        }
+                        break u;
+                    }
+                    Err(UpdateError::Cancelled) => {
+                        return Err(cancel_error(
+                            opts.cancel.as_ref(),
+                            iterations,
+                            &opts.checkpoint,
+                            &last_good,
+                            &opts.on_checkpoint,
+                        ))
+                    }
+                    Err(UpdateError::Solve(e)) => {
+                        if !opts.recovery.enabled || retry == opts.recovery.max_ridge_retries {
+                            return Err(StefError::Solve {
+                                iteration: iterations,
+                                mode,
+                                source: e,
+                            });
+                        }
+                        retry += 1;
+                        ridge = scale * 1e-8 * 100f64.powi(retry as i32);
+                        recovery.record(
+                            iterations,
+                            Some(mode),
+                            RecoveryAction::RidgeRetry,
+                            format!("solve failed ({e}); retrying with ridge {ridge:.3e}"),
+                        );
+                    }
+                }
+            };
+            grams[mode] = updated.gram;
             last_mttkrp = Some((mode, ahat));
 
             // Chunk-granularity cancellation inside the kernels only
@@ -571,7 +604,7 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
             if let Some(token) = &opts.cancel {
                 if token.expired() {
                     return Err(cancel_error(
-                        token,
+                        Some(token),
                         iterations,
                         &opts.checkpoint,
                         &last_good,
@@ -1056,6 +1089,118 @@ mod tests {
         assert_eq!(resumed.fits.len(), full.fits.len());
         for (a, b) in resumed.fits.iter().zip(&full.fits) {
             assert!((a - b).abs() < 1e-8, "fits diverged: {a} vs {b}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Cancels `token` right after the `at`-th MTTKRP call (counting
+    /// from 1) has produced its output, so the cancellation lands in the
+    /// dense update that follows.
+    struct CancelAfter {
+        inner: Stef,
+        token: CancelToken,
+        at: usize,
+        calls: usize,
+    }
+
+    impl MttkrpEngine for CancelAfter {
+        fn dims(&self) -> &[usize] {
+            self.inner.dims()
+        }
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn sweep_order(&self) -> Vec<usize> {
+            self.inner.sweep_order()
+        }
+        fn norm_sq(&self) -> f64 {
+            self.inner.norm_sq()
+        }
+        fn mttkrp(&mut self, factors: &[Mat], mode: usize) -> Mat {
+            let out = self.inner.mttkrp(factors, mode);
+            self.calls += 1;
+            if self.calls == self.at {
+                self.token.cancel();
+            }
+            out
+        }
+        fn executor(&self) -> &crate::runtime::Executor {
+            MttkrpEngine::executor(&self.inner)
+        }
+    }
+
+    #[test]
+    fn cancel_in_the_dense_update_checkpoints_the_last_completed_iteration() {
+        let dir = std::env::temp_dir().join(format!("stef-cpd-dense-cancel-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        // A tall mode, so the dense passes split into row blocks.
+        let t = pseudo_tensor(&[4100, 30, 20], 6000, 12);
+        let mut sopts = StefOptions::new(4);
+        sopts.num_threads = 2;
+        // Privatized rows reduce in a fixed order, so two runs on a
+        // two-worker pool agree bit for bit.
+        sopts.accum = crate::options::AccumStrategy::Privatized;
+
+        // Cancel after iteration 3's MTTKRP of the tall mode 0.
+        let token = CancelToken::new();
+        let mut engine_opts = sopts.clone();
+        engine_opts.cancel = Some(token.clone());
+        let inner = Stef::prepare(&t, engine_opts);
+        let tall_pos = inner.sweep_order().iter().position(|&m| m == 0).unwrap();
+        let at = 2 * t.dims().len() + tall_pos + 1;
+        let mut engine = CancelAfter {
+            inner,
+            token: token.clone(),
+            at,
+            calls: 0,
+        };
+        let payload: Arc<std::sync::Mutex<Option<Checkpoint>>> = Arc::default();
+        let seen = payload.clone();
+        let hook_path = path.clone();
+        let opts = CpdOptions {
+            max_iters: 10,
+            tol: 0.0,
+            cancel: Some(token),
+            // `every` beyond max_iters: only the cancel path writes.
+            checkpoint: Some(CheckpointPolicy::new(&path, 100)),
+            on_checkpoint: Some(CheckpointHook::new(move |_| {
+                *seen.lock().unwrap() = Some(Checkpoint::load(&hook_path).expect("checkpoint loads"));
+            })),
+            ..CpdOptions::new(4)
+        };
+        match cpd_als(&mut engine, &opts) {
+            Err(StefError::Cancelled {
+                iteration: 3,
+                deadline: false,
+                checkpoint_iteration: Some(2),
+            }) => {}
+            other => panic!("expected Cancelled at iteration 3 with checkpoint 2, got {other:?}"),
+        }
+        assert_eq!(engine.calls, at, "no MTTKRP after the cancel");
+        let exec = MttkrpEngine::executor(&engine.inner);
+        if !exec.is_serial() {
+            assert!(exec.counters().cancelled_jobs >= 1, "the dense fan-out saw the cancel");
+        }
+
+        // The checkpoint is bitwise the state after two clean iterations.
+        let cp = payload.lock().unwrap().take().expect("on_checkpoint ran");
+        let mut clean = Stef::prepare(&t, sopts);
+        let reference = cpd_als(
+            &mut clean,
+            &CpdOptions {
+                max_iters: 2,
+                tol: 0.0,
+                ..CpdOptions::new(4)
+            },
+        )
+        .expect("clean run");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(cp.iteration, 2);
+        assert_eq!(bits(&cp.fits), bits(&reference.fits));
+        assert_eq!(bits(&cp.lambda), bits(&reference.lambda));
+        for (a, b) in cp.factors.iter().zip(&reference.factors) {
+            assert_eq!(bits(a.as_slice()), bits(b.as_slice()));
         }
         std::fs::remove_dir_all(&dir).ok();
     }

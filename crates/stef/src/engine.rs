@@ -92,6 +92,15 @@ pub trait MttkrpEngine {
     fn numa_nodes(&self) -> usize {
         1
     }
+
+    /// The executor the CPD driver runs the dense mode update on (solve,
+    /// normalization and Gram after each MTTKRP). Engines with their own
+    /// worker pool return it, so the update honours the engine's width,
+    /// cancel token and counters; the default is the process-wide
+    /// [`crate::runtime::global`] pool.
+    fn executor(&self) -> &Executor {
+        crate::runtime::global()
+    }
 }
 
 /// Boxed engines are engines too, so adapters generic over a sized
@@ -133,6 +142,9 @@ impl<E: MttkrpEngine + ?Sized> MttkrpEngine for Box<E> {
     }
     fn numa_nodes(&self) -> usize {
         (**self).numa_nodes()
+    }
+    fn executor(&self) -> &Executor {
+        (**self).executor()
     }
 }
 
@@ -268,6 +280,13 @@ impl Stef {
         let nthreads = opts.threads();
         let base_order = sort_modes_by_length(coo.dims());
         let base_csf = build_csf(coo, &base_order);
+        // The pool exists before planning so the swap count runs on it;
+        // the cancel token is installed once preparation is done.
+        let exec = Executor::with_numa(opts.workers(), opts.numa);
+        let swapped_profile = || {
+            LevelProfile::swapped_from_csf_on(&exec, &base_csf, opts.rank, opts.cache_bytes)
+                .expect("the pool has no cancel token before preparation ends")
+        };
 
         // --- order decision (§II-E + §IV-B) ---
         let base_profile = LevelProfile::from_csf(&base_csf, opts.rank, opts.cache_bytes);
@@ -285,8 +304,7 @@ impl Stef {
                 )
             }
             ModeSwitchPolicy::Always => {
-                let swapped =
-                    LevelProfile::swapped_from_csf(&base_csf, opts.rank, opts.cache_bytes);
+                let swapped = swapped_profile();
                 let (save, predicted) = best_memo_set(&swapped);
                 (
                     true,
@@ -299,8 +317,7 @@ impl Stef {
                 )
             }
             ModeSwitchPolicy::ModelChosen | ModeSwitchPolicy::OppositeOfModel => {
-                let swapped =
-                    LevelProfile::swapped_from_csf(&base_csf, opts.rank, opts.cache_bytes);
+                let swapped = swapped_profile();
                 let plan = choose_plan(&base_profile, &swapped);
                 let mut swap = plan.swap_last_two;
                 if opts.mode_switch == ModeSwitchPolicy::OppositeOfModel {
@@ -460,7 +477,6 @@ impl Stef {
                 budget: opts.memory_budget,
             }
         })?;
-        let exec = Executor::with_numa(opts.workers(), opts.numa);
         if opts.cancel.is_some() {
             exec.set_cancel(opts.cancel.clone());
         }
@@ -716,6 +732,10 @@ impl MttkrpEngine for Stef {
 
     fn numa_nodes(&self) -> usize {
         self.exec.numa_nodes()
+    }
+
+    fn executor(&self) -> &Executor {
+        &self.exec
     }
 }
 

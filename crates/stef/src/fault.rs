@@ -284,6 +284,10 @@ impl<E: MttkrpEngine> MttkrpEngine for FaultyEngine<E> {
     fn telemetry_runtime_counters(&self) -> Option<crate::runtime::RuntimeCounters> {
         self.inner.telemetry_runtime_counters()
     }
+
+    fn executor(&self) -> &Executor {
+        self.inner.executor()
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@
 //! for levels `i+1..=k`. This keeps the model's units coherent without
 //! changing any qualitative decision.
 
-use sptensor::{count_fibers_if_last_two_swapped, Csf};
+use linalg::par::{self, Cancelled, Fanout};
+use sptensor::{count_fibers_if_last_two_swapped_on, Csf};
 
 /// The per-level quantities the model consumes, for one mode order.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,22 +59,34 @@ impl LevelProfile {
     /// The profile the CSF *would* have with its last two levels swapped,
     /// computed via Algorithm 9 without building that CSF: levels
     /// `0..d-2` are unchanged, `m_{d-2}` comes from the swap counter and
-    /// the leaf count is `nnz`.
+    /// the leaf count is `nnz`. Counts inline; see
+    /// [`LevelProfile::swapped_from_csf_on`].
     pub fn swapped_from_csf(csf: &Csf, rank: usize, cache_bytes: usize) -> Self {
+        par::inline(Self::swapped_from_csf_on(&par::Inline, csf, rank, cache_bytes))
+    }
+
+    /// [`LevelProfile::swapped_from_csf`] with the swap count fanned out
+    /// on `exec`.
+    pub fn swapped_from_csf_on(
+        exec: &dyn Fanout,
+        csf: &Csf,
+        rank: usize,
+        cache_bytes: usize,
+    ) -> Result<Self, Cancelled> {
         let d = csf.ndim();
         let mut dims = csf.level_dims().to_vec();
         dims.swap(d - 1, d - 2);
         let mut fibers = csf.fiber_counts();
         if d >= 2 {
-            fibers[d - 2] = count_fibers_if_last_two_swapped(csf);
+            fibers[d - 2] = count_fibers_if_last_two_swapped_on(exec, csf)?;
             fibers[d - 1] = csf.nnz();
         }
-        LevelProfile {
+        Ok(LevelProfile {
             dims,
             fibers,
             rank,
             cache_elems: cache_bytes / std::mem::size_of::<f64>(),
-        }
+        })
     }
 
     fn d(&self) -> usize {

@@ -18,7 +18,7 @@
 
 use crate::cpd::CpdOptions;
 use crate::engine::MttkrpEngine;
-use linalg::ops::{frob_inner, gram_full, hadamard_inplace, matmul};
+use linalg::ops::{frob_inner, gram_on, hadamard_inplace, matmul_on};
 use linalg::Mat;
 use std::time::Instant;
 
@@ -50,7 +50,9 @@ const EPS: f64 = 1e-12;
 /// Runs multiplicative-update nonnegative CP on `engine`.
 ///
 /// The engine's tensor should be nonnegative; negative values do not
-/// break the algorithm but void the monotonicity guarantee.
+/// break the algorithm but void the monotonicity guarantee. The dense
+/// products run on the engine's executor; if its cancel token cuts one
+/// short, the run stops there and reports the completed iterations.
 pub fn cpd_mu_nonneg<E: MttkrpEngine + ?Sized>(
     engine: &mut E,
     opts: &CpdOptions,
@@ -64,59 +66,70 @@ pub fn cpd_mu_nonneg<E: MttkrpEngine + ?Sized>(
     // Positive initialization (strictly > 0 so zero entries can still
     // grow/shrink multiplicatively).
     let mut factors = crate::cpd::init_factors(&dims, r, opts.seed);
-    let mut grams: Vec<Mat> = factors.iter().map(gram_full).collect();
-
+    // Cloned so the engine stays free for `&mut` MTTKRP calls.
+    let exec = engine.executor().clone();
     let mut fits = Vec::new();
     let mut converged = false;
     let start = Instant::now();
-    let mut iterations = 0usize;
 
-    for _it in 0..opts.max_iters {
-        iterations += 1;
-        let mut last: Option<(usize, Mat)> = None;
-        for &mode in &sweep {
-            let ahat = engine.mttkrp(&factors, mode);
-            let mut v = Mat::from_fn(r, r, |_, _| 1.0);
-            for (m, g) in grams.iter().enumerate() {
-                if m != mode {
-                    hadamard_inplace(&mut v, g);
-                }
-            }
-            // denom = A · V  (N×R); update A ⊙ Ā ⊘ denom.
-            let denom = matmul(&factors[mode], &v);
-            {
-                let a = factors[mode].as_mut_slice();
-                let h = ahat.as_slice();
-                let dn = denom.as_slice();
-                for ((x, &num), &den) in a.iter_mut().zip(h).zip(dn) {
-                    *x *= (num.max(0.0)) / (den + EPS);
-                }
-            }
-            grams[mode] = gram_full(&factors[mode]);
-            last = Some((mode, ahat));
-        }
-
-        // Fit with λ = 1 (MU does not normalize columns).
-        let (last_mode, ahat) = last.expect("at least one mode");
-        let inner = frob_inner(&ahat, &factors[last_mode]);
-        let norm_model_sq = {
-            let mut had = Mat::from_fn(r, r, |_, _| 1.0);
-            for g in &grams {
-                hadamard_inplace(&mut had, g);
-            }
-            had.as_slice().iter().sum::<f64>()
+    // A dense pass cut short by the engine's cancel token ends the run.
+    'run: {
+        let grams: Result<Vec<Mat>, _> = factors.iter().map(|f| gram_on(&exec, f)).collect();
+        let Ok(mut grams) = grams else {
+            break 'run;
         };
-        let resid_sq = (norm_t_sq + norm_model_sq - 2.0 * inner).max(0.0);
-        let fit = 1.0 - resid_sq.sqrt() / norm_t;
-        let prev = fits.last().copied();
-        fits.push(fit);
-        if let Some(p) = prev {
-            if (fit - p).abs() < opts.tol {
-                converged = true;
-                break;
+        for _it in 0..opts.max_iters {
+            let mut last: Option<(usize, Mat)> = None;
+            for &mode in &sweep {
+                let ahat = engine.mttkrp(&factors, mode);
+                let mut v = Mat::from_fn(r, r, |_, _| 1.0);
+                for (m, g) in grams.iter().enumerate() {
+                    if m != mode {
+                        hadamard_inplace(&mut v, g);
+                    }
+                }
+                // denom = A · V  (N×R); update A ⊙ Ā ⊘ denom.
+                let Ok(denom) = matmul_on(&exec, &factors[mode], &v) else {
+                    break 'run;
+                };
+                {
+                    let a = factors[mode].as_mut_slice();
+                    let h = ahat.as_slice();
+                    let dn = denom.as_slice();
+                    for ((x, &num), &den) in a.iter_mut().zip(h).zip(dn) {
+                        *x *= (num.max(0.0)) / (den + EPS);
+                    }
+                }
+                match gram_on(&exec, &factors[mode]) {
+                    Ok(g) => grams[mode] = g,
+                    Err(_) => break 'run,
+                }
+                last = Some((mode, ahat));
+            }
+
+            // Fit with λ = 1 (MU does not normalize columns).
+            let (last_mode, ahat) = last.expect("at least one mode");
+            let inner = frob_inner(&ahat, &factors[last_mode]);
+            let norm_model_sq = {
+                let mut had = Mat::from_fn(r, r, |_, _| 1.0);
+                for g in &grams {
+                    hadamard_inplace(&mut had, g);
+                }
+                had.as_slice().iter().sum::<f64>()
+            };
+            let resid_sq = (norm_t_sq + norm_model_sq - 2.0 * inner).max(0.0);
+            let fit = 1.0 - resid_sq.sqrt() / norm_t;
+            let prev = fits.last().copied();
+            fits.push(fit);
+            if let Some(p) = prev {
+                if (fit - p).abs() < opts.tol {
+                    converged = true;
+                    break;
+                }
             }
         }
     }
+    let iterations = fits.len();
     NonnegCpdResult {
         factors,
         fits,
@@ -162,6 +175,21 @@ mod tests {
             assert!(f.as_slice().iter().all(|&v| v >= 0.0 && v.is_finite()));
         }
         assert_eq!(result.iterations, 10);
+    }
+
+    #[test]
+    fn a_cancelled_pool_stops_the_run() {
+        let t = nonneg_tensor(&[12, 10, 8], 400, 1);
+        let token = crate::runtime::CancelToken::new();
+        let mut sopts = StefOptions::new(4);
+        sopts.cancel = Some(token.clone());
+        let mut engine = Stef::prepare(&t, sopts);
+        let mut opts = CpdOptions::new(4);
+        opts.max_iters = 5;
+        token.cancel();
+        let result = cpd_mu_nonneg(&mut engine, &opts);
+        assert_eq!(result.iterations, 0);
+        assert!(result.fits.is_empty());
     }
 
     #[test]

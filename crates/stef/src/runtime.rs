@@ -44,10 +44,13 @@
 //!   in order on the caller (`tests/determinism.rs`).
 //!
 //! [`Executor`] is the handle the engine and kernels carry: a shared
-//! [`WorkerPool`]. [`global`] is the process-wide default used by call
-//! sites that have no engine (the `sync::fanout` free function, and the
-//! `linalg::par` hook that routes `gram`/`matmul`/swap-count fan-outs
-//! through the same pool once [`global`] has been called).
+//! [`WorkerPool`]. It also implements [`linalg::par::Fanout`], so the
+//! dense algebra (the CPD driver's mode update, the Gram, the swap
+//! count) runs on whichever pool the caller hands it — the engine's own,
+//! in `cpd_als` and engine preparation. [`global`] is the process-wide
+//! default used by call sites that have no engine (the `sync::fanout`
+//! free function, the kernel convenience wrappers, and engines without
+//! a pool of their own).
 
 use crate::numa::{self, NumaPolicy, NumaTopology};
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
@@ -400,8 +403,8 @@ thread_local! {
     /// Address of the `Shared` block of the pool this thread serves as
     /// a worker (0 on non-pool threads). Scoped *per pool* so a worker
     /// of one pool can still dispatch on a different, idle pool — e.g.
-    /// a kernel closure running on an engine's pool calling
-    /// `linalg::par::fanout`, which routes to the global pool. Only a
+    /// a closure running on an engine's pool calling `sync::fanout`,
+    /// which runs on the global pool. Only a
     /// fan-out back onto the worker's *own* pool is forced inline:
     /// dispatching there would park on a completion barrier this very
     /// thread is supposed to help drain. Cross-pool dispatch cycles
@@ -1192,33 +1195,37 @@ pub fn resolve_workers(num_threads: usize) -> usize {
     n.min(hardware_workers())
 }
 
-/// Routes `linalg::par` fan-outs (gram/matmul reductions, the
-/// swap-count pass) through the global pool. Installed by [`global`].
-fn linalg_bridge(tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-    global().fanout(tasks, f);
-}
-
 /// The process-wide default executor, used by call sites that have no
-/// engine: the `sync::fanout` free function and the kernel convenience
-/// wrappers. Its first call also installs the [`linalg::par`] bridge,
-/// so the dense-algebra fan-outs run on this pool from then on; a
-/// process that never calls it (an engine plus `cpd_als` alone) leaves
-/// them on `linalg::par`'s scoped-thread fallback.
+/// engine: the `sync::fanout` free function, the kernel convenience
+/// wrappers, and the dense update of engines without a pool of their
+/// own (the default [`crate::MttkrpEngine::executor`]).
 pub fn global() -> &'static Executor {
     static GLOBAL: OnceLock<Executor> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        linalg::par::install_fanout(linalg_bridge);
-        Executor::new(resolve_workers(0))
-    })
+    GLOBAL.get_or_init(|| Executor::new(resolve_workers(0)))
 }
 
 /// Installs (or clears, with `None`) a cancel token on the
-/// process-global executor, so the dense-algebra fan-outs routed through
-/// [`linalg::par`] and the `sync::fanout` free function observe
-/// cancellation too. Engine executors get their token separately, at
-/// preparation, from `StefOptions::cancel`.
+/// process-global executor, so the `sync::fanout` free function and the
+/// engines that run on the global pool observe cancellation too.
+/// Engine executors get their token separately, at preparation, from
+/// `StefOptions::cancel`.
 pub fn set_global_cancel(token: Option<CancelToken>) {
     global().set_cancel(token);
+}
+
+/// The dense algebra's fan-outs run on the pool like any other job. A
+/// cancelled job reports [`linalg::par::Cancelled`]; a worker panic is
+/// re-raised on the caller, as [`WorkerPool::fanout`] does.
+impl linalg::par::Fanout for Executor {
+    fn try_run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), linalg::par::Cancelled> {
+        match self.try_fanout(tasks, f) {
+            Ok(()) => Ok(()),
+            Err(FanoutError::Cancelled) => Err(linalg::par::Cancelled),
+            Err(FanoutError::Panicked(msg)) => {
+                panic!("worker panicked during parallel fan-out: {msg}")
+            }
+        }
+    }
 }
 
 #[cfg(test)]

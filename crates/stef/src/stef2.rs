@@ -172,6 +172,10 @@ impl MttkrpEngine for Stef2 {
     fn telemetry_runtime_counters(&self) -> Option<RuntimeCounters> {
         self.base.telemetry_runtime_counters()
     }
+
+    fn executor(&self) -> &crate::runtime::Executor {
+        self.base.executor()
+    }
 }
 
 #[cfg(test)]
