@@ -17,8 +17,8 @@
 
 use linalg::Mat;
 use sptensor::{build_csf, inverse_permutation, sort_modes_by_length, CooTensor, Csf};
-use stef::kernels::{mode0_pass, modeu_pass, KernelCtx, ResolvedAccum};
-use stef::{LoadBalance, MttkrpEngine, PartialStore, Schedule};
+use stef::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
+use stef::{LoadBalance, MttkrpEngine, PartialStore, Schedule, Workspace};
 
 /// How many CSF representations the engine keeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,11 +41,12 @@ impl SplattVariant {
     }
 }
 
-/// One CSF representation with its schedule.
+/// One CSF representation with its schedule and kernel scratch.
 struct Rep {
     csf: Csf,
     sched: Schedule,
     partials: PartialStore,
+    ws: Workspace,
 }
 
 impl Rep {
@@ -53,10 +54,12 @@ impl Rep {
         let csf = build_csf(coo, order);
         let sched = Schedule::build(&csf, nthreads, LoadBalance::SliceBased);
         let partials = PartialStore::empty(coo.ndim(), nthreads, rank);
+        let ws = Workspace::new(coo.ndim(), rank, nthreads, 0);
         Rep {
             csf,
             sched,
             partials,
+            ws,
         }
     }
 
@@ -64,19 +67,16 @@ impl Rep {
         let order = self.csf.mode_order().to_vec();
         let level_factors: Vec<&Mat> = order.iter().map(|&m| &factors[m]).collect();
         let ctx = KernelCtx::new(&self.csf, &self.sched, level_factors, rank);
+        let views = self.partials.shared_views();
+        let rt = stef::runtime::global();
+        let mut out = Mat::zeros(self.csf.level_dims()[level], rank);
         if level == 0 {
-            let mut out = Mat::zeros(self.csf.level_dims()[0], rank);
-            mode0_pass(&ctx, &mut self.partials, &mut out);
-            out
+            mode0_with(&ctx, &views, rt, &mut self.ws, &mut out);
         } else {
-            modeu_pass(
-                &ctx,
-                &mut self.partials,
-                level,
-                ResolvedAccum::Privatized,
-                false,
-            )
+            let accum = ResolvedAccum::Privatized;
+            modeu_with(&ctx, &views, false, level, accum, rt, &mut self.ws, &mut out);
         }
+        out
     }
 }
 

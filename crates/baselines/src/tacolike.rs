@@ -21,8 +21,8 @@
 use linalg::Mat;
 use sptensor::{build_csf, sort_modes_by_length, CooTensor, Csf};
 use std::time::Instant;
-use stef::kernels::{mode0_pass, KernelCtx};
-use stef::{LoadBalance, MttkrpEngine, PartialStore, Schedule};
+use stef::kernels::{mode0_with, KernelCtx};
+use stef::{LoadBalance, MttkrpEngine, PartialStore, Schedule, Workspace};
 
 /// Task-count multipliers tried by the auto-tuner (×physical threads).
 const CHUNK_CANDIDATES: [usize; 4] = [1, 2, 4, 8];
@@ -31,6 +31,8 @@ struct ModeRep {
     csf: Csf,
     /// One schedule (and matching empty partial store) per candidate.
     candidates: Vec<(Schedule, PartialStore)>,
+    /// Kernel scratch, sized for the candidate with the most tasks.
+    ws: Workspace,
     /// Index into `candidates` once tuning has finished.
     chosen: Option<usize>,
     /// Best time seen per candidate during tuning.
@@ -74,9 +76,12 @@ impl TacoLike {
                     })
                     .collect();
                 let n = candidates.len();
+                let max_tasks = candidates.iter().map(|(s, _)| s.nthreads()).max().unwrap_or(1);
+                let ws = Workspace::new(d, rank, max_tasks, 0);
                 ModeRep {
                     csf,
                     candidates,
+                    ws,
                     chosen: None,
                     timings: vec![None; n],
                 }
@@ -107,7 +112,8 @@ impl TacoLike {
         let (sched, partials) = &mut rep.candidates[cand];
         let ctx = KernelCtx::new(&rep.csf, sched, level_factors, rank);
         let mut out = Mat::zeros(rep.csf.level_dims()[0], rank);
-        mode0_pass(&ctx, partials, &mut out);
+        let views = partials.shared_views();
+        mode0_with(&ctx, &views, stef::runtime::global(), &mut rep.ws, &mut out);
         out
     }
 }

@@ -11,8 +11,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linalg::Mat;
 use sptensor::build_csf;
-use stef::kernels::{mode0_pass, modeu_pass, KernelCtx, ResolvedAccum};
-use stef::{init_factors, LoadBalance, PartialStore, Schedule};
+use stef::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
+use stef::{init_factors, LoadBalance, PartialStore, Schedule, Workspace};
 use workloads::{power_law_tensor, split_root_tensor};
 
 fn bench_memo_crossover(c: &mut Criterion) {
@@ -20,6 +20,7 @@ fn bench_memo_crossover(c: &mut Criterion) {
     group.sample_size(10);
     let rank = 32;
     let nnz = 120_000;
+    let rt = stef::runtime::global();
     // Shrinking the middle dimension shrinks the number of distinct
     // (i, j) fibers, raising the average leaf fanout: the memoized
     // P^(1) gets smaller while recompute still walks all the leaves.
@@ -34,27 +35,24 @@ fn bench_memo_crossover(c: &mut Criterion) {
 
         // Memoized path: mode-0 storing P^(1), then mode-1 from memo.
         let mut saved = PartialStore::allocate(&csf, &[false, true, false], nthreads, rank);
-        {
-            let ctx = KernelCtx::new(&csf, &sched, refs.clone(), rank);
-            let mut out0 = Mat::zeros(t.dims()[0], rank);
-            mode0_pass(&ctx, &mut saved, &mut out0);
+        let views = saved.shared_views();
+        let ctx = KernelCtx::new(&csf, &sched, refs.clone(), rank);
+        let mut ws = Workspace::new(3, rank, nthreads, mid_dim);
+        let mut out0 = Mat::zeros(t.dims()[0], rank);
+        mode0_with(&ctx, &views, rt, &mut ws, &mut out0);
+        let mut out1 = Mat::zeros(mid_dim, rank);
+        let accum = ResolvedAccum::Privatized;
+        for (label, use_saved) in [("memoized", true), ("recompute", false)] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("{label}_fanout_{fanout:.1}"), mid_dim),
+                &mid_dim,
+                |b, _| {
+                    b.iter(|| {
+                        modeu_with(&ctx, &views, use_saved, 1, accum, rt, &mut ws, &mut out1)
+                    });
+                },
+            );
         }
-        group.bench_with_input(
-            BenchmarkId::new(format!("memoized_fanout_{fanout:.1}"), mid_dim),
-            &mid_dim,
-            |b, _| {
-                let ctx = KernelCtx::new(&csf, &sched, refs.clone(), rank);
-                b.iter(|| modeu_pass(&ctx, &mut saved, 1, ResolvedAccum::Privatized, true));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("recompute_fanout_{fanout:.1}"), mid_dim),
-            &mid_dim,
-            |b, _| {
-                let ctx = KernelCtx::new(&csf, &sched, refs.clone(), rank);
-                b.iter(|| modeu_pass(&ctx, &mut saved, 1, ResolvedAccum::Privatized, false));
-            },
-        );
     }
     group.finish();
 }
@@ -68,16 +66,19 @@ fn bench_scheduling_under_starved_root(c: &mut Criterion) {
     let factors = init_factors(t.dims(), rank, 7);
     let refs: Vec<&Mat> = factors.iter().collect();
     let nthreads = stef::runtime::default_threads().max(2);
+    let rt = stef::runtime::global();
+    let mut ws = Workspace::new(3, rank, nthreads, 0);
     for (label, kind) in [
         ("nnz_balanced", LoadBalance::NnzBalanced),
         ("slice_based", LoadBalance::SliceBased),
     ] {
         let sched = Schedule::build(&csf, nthreads, kind);
         let mut partials = PartialStore::empty(3, nthreads, rank);
+        let views = partials.shared_views();
         group.bench_function(label, |b| {
             let ctx = KernelCtx::new(&csf, &sched, refs.clone(), rank);
             let mut out0 = Mat::zeros(2, rank);
-            b.iter(|| mode0_pass(&ctx, &mut partials, &mut out0));
+            b.iter(|| mode0_with(&ctx, &views, rt, &mut ws, &mut out0));
         });
     }
     group.finish();

@@ -1,29 +1,26 @@
-//! Kernel-level A/B benchmark: the allocation-free vectorized MTTKRP
-//! path (`stef::kernels`) against the original recursive implementation
-//! (`stef::kernels_legacy`), per mode, per accumulation strategy and
-//! per SIMD dispatch path.
+//! Kernel-level benchmark of the memoized MTTKRP passes
+//! (`stef::kernels`), per mode, per accumulation strategy and per SIMD
+//! dispatch path, plus an engine race (CSF vs linearized).
 //!
 //! Besides the usual stderr table this bench writes the tracked
-//! trajectory file `BENCH_mttkrp.json` at the repo root so the speedup
-//! of the kernel rewrite is recorded alongside the code.
+//! trajectory files `BENCH_mttkrp.json` (the kernels) and
+//! `BENCH_alto.json` (the engine race) at the repo root.
 //!
-//! Both paths fan out on one persistent worker pool sized by
-//! `runtime::resolve_workers(0)` (`pool_workers` in the report).
-//! The legacy baseline is always measured with dispatch forced to
-//! `scalar` — that is bit- and instruction-identical to the pre-rewrite
-//! autovectorized kernels, so speedups stay comparable across the
-//! whole trajectory. The vectorized path is measured once per
-//! available SIMD variant (`scalar` plus the detected best ISA), one
-//! record per variant. Each lane of a cell is timed consecutively
-//! (warm caches — alternating lanes would evict each other's working
-//! set and penalize the cache-resident modes) with a best-of rep count
-//! high enough that every lane finds a quiet window on a shared box.
+//! The kernels fan out on one persistent worker pool sized by
+//! `runtime::resolve_workers(0)` (`pool_workers` in the report) and
+//! are measured once per available SIMD variant (`scalar` plus the
+//! detected best ISA), one record per variant. Each lane of a cell is
+//! timed consecutively (warm caches — alternating lanes would evict
+//! each other's working set and penalize the cache-resident modes)
+//! with a best-of rep count high enough that every lane finds a quiet
+//! window on a shared box.
 //!
-//! Schema 2 additions: a top-level `simd` field (the detected path),
-//! a per-record `simd` field (the dispatch path of that measurement)
-//! and a per-record `bytes_per_ns` — the mode's counted kernel traffic
-//! (`stef::count_sweep`, elements × 8 bytes) over the vectorized time,
-//! i.e. the achieved effective bandwidth of that mode.
+//! `BENCH_mttkrp.json` is schema 6 (`bench: "mttkrp_kernels"`): a
+//! top-level `simd` (the detected path) and `pool_workers`, and per
+//! record the `mode`, `accum`, `use_saved`, `simd` (the dispatch path
+//! of that measurement), `ns` (best-of-reps) and `bytes_per_ns` — the
+//! mode's counted kernel traffic (`stef::count_sweep`, elements × 8
+//! bytes) over `ns`, i.e. the achieved effective bandwidth.
 //!
 //! Environment knobs:
 //!
@@ -39,23 +36,18 @@ use linalg::Mat;
 use sptensor::build_csf;
 use std::time::Instant;
 use stef::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
-use stef::kernels_legacy;
 use stef::{count_sweep, init_factors, LoadBalance, PartialStore, Schedule, Workspace};
 use stef_bench::{impl_to_json, write_json_at, Table};
 use workloads::power_law_tensor;
 
-/// One mode × accumulation-strategy × SIMD-path measurement
-/// (best-of-reps, ns). `legacy_ns` is the scalar-dispatch legacy
-/// baseline; `bytes_per_ns` is counted kernel traffic over
-/// `vectorized_ns`.
+/// One mode × accumulation-strategy × SIMD-path measurement:
+/// best-of-reps `ns`, and counted kernel traffic over it.
 struct Record {
     mode: usize,
     accum: String,
     use_saved: bool,
     simd: String,
-    legacy_ns: f64,
-    vectorized_ns: f64,
-    speedup: f64,
+    ns: f64,
     bytes_per_ns: f64,
 }
 impl_to_json!(Record {
@@ -63,9 +55,7 @@ impl_to_json!(Record {
     accum,
     use_saved,
     simd,
-    legacy_ns,
-    vectorized_ns,
-    speedup,
+    ns,
     bytes_per_ns
 });
 
@@ -181,9 +171,9 @@ fn main() {
     let reps = env_usize("STEF_REPS", 5);
     let dims = [2_000usize, 5_000, 8_000];
 
-    // Dispatch variants to measure: scalar (the trajectory baseline)
-    // plus the detected best ISA when one exists. A `STEF_SIMD` env
-    // override narrows the bench to that single path.
+    // Dispatch variants to measure: scalar plus the detected best ISA
+    // when one exists. A `STEF_SIMD` env override narrows the bench to
+    // that single path.
     let detected = simd::detect();
     let variants: Vec<SimdPath> = match std::env::var("STEF_SIMD") {
         Ok(name) => match SimdPath::parse(name.trim()) {
@@ -202,12 +192,11 @@ fn main() {
     let refs: Vec<&Mat> = factors.iter().collect();
     let ctx = KernelCtx::new(&csf, &sched, refs, rank);
 
-    // Memoize P^(1) — the paper's standard 3-way configuration. Legacy
-    // and vectorized sides keep separate partial stores so lane order
-    // never affects inputs (the mode-0 lanes rebuild them every rep).
+    // Memoize P^(1) — the paper's standard 3-way configuration. The
+    // mode-0 lanes rebuild the store every rep from fixed factors, so
+    // lane order never affects inputs.
     let save = [false, true, false];
     let mut partials = PartialStore::allocate(&csf, &save, nthreads, rank);
-    let mut partials_legacy = PartialStore::allocate(&csf, &save, nthreads, rank);
     let max_dim = *csf.level_dims().iter().max().unwrap();
     let ws = std::cell::RefCell::new(Workspace::new(d, rank, nthreads, max_dim));
     let rt = stef::Executor::new(stef::runtime::resolve_workers(0));
@@ -217,133 +206,73 @@ fn main() {
     let traffic = count_sweep(&csf, &save, rank);
 
     eprintln!(
-        "mttkrp A/B: dims {dims:?}, {} nnz, rank {rank}, {nthreads} logical threads, \
-         {} pool workers, best of {reps}, simd variants {:?} \
-         (legacy = pre-rewrite recursive kernels, scalar dispatch)",
+        "mttkrp kernels: dims {dims:?}, {} nnz, rank {rank}, {nthreads} logical threads, \
+         {} pool workers, best of {reps}, simd variants {:?}",
         t.nnz(),
         rt.workers(),
         variants.iter().map(|v| v.as_str()).collect::<Vec<_>>(),
     );
 
-    let mut records: Vec<Record> = Vec::new();
-    let mode_bytes = |mode: usize| {
-        let (rd, wr) = traffic.per_mode[mode];
-        (rd + wr) * 8.0
-    };
-
     let views = partials.shared_views();
-
-    // Mode 0 (root pass, stores partials; output rows are disjoint per
-    // subtree so the accumulation strategy does not apply).
-    {
-        let mut out_l = Mat::zeros(csf.level_dims()[0], rank);
+    // Mode 0 first (root pass, stores partials; output rows are
+    // disjoint per subtree so the accumulation strategy does not
+    // apply), then modes 1..d under both strategies.
+    let mut cells: Vec<(usize, Option<ResolvedAccum>, bool)> = vec![(0, None, false)];
+    for (u, &use_saved) in save.iter().enumerate().skip(1) {
+        for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
+            cells.push((u, Some(accum), use_saved));
+        }
+    }
+    let mut records: Vec<Record> = Vec::new();
+    for (u, accum, use_saved) in cells {
         let mut outs: Vec<Mat> = variants
             .iter()
-            .map(|_| Mat::zeros(csf.level_dims()[0], rank))
+            .map(|_| Mat::zeros(csf.level_dims()[u], rank))
             .collect();
         let mut lanes: Vec<Box<dyn FnMut()>> = Vec::new();
-        {
-            let (ctx, pl, rt, out_l) = (&ctx, &mut partials_legacy, &rt, &mut out_l);
-            lanes.push(Box::new(move || {
-                simd::apply(SimdPolicy::Force(SimdPath::Scalar));
-                kernels_legacy::mode0_pass(ctx, pl, rt, out_l);
-            }));
-        }
         for (out, &path) in outs.iter_mut().zip(&variants) {
             let (ctx, views, rt, ws) = (&ctx, &views, &rt, &ws);
             lanes.push(Box::new(move || {
                 simd::apply(SimdPolicy::Force(path));
-                mode0_with(ctx, views, rt, &mut ws.borrow_mut(), out);
+                let ws = &mut ws.borrow_mut();
+                match accum {
+                    None => mode0_with(ctx, views, rt, ws, out),
+                    Some(a) => modeu_with(ctx, views, use_saved, u, a, rt, ws, out),
+                }
             }));
         }
         let times = race_ns(2, reps, &mut lanes);
         drop(lanes);
-        for (i, &path) in variants.iter().enumerate() {
-            let vectorized = times[i + 1];
+        let (rd, wr) = traffic.per_mode[u];
+        for (&path, &ns) in variants.iter().zip(&times) {
             records.push(Record {
-                mode: 0,
-                accum: "n/a".into(),
-                use_saved: false,
+                mode: u,
+                accum: accum.map_or("n/a", accum_name).into(),
+                use_saved,
                 simd: path.as_str().into(),
-                legacy_ns: times[0],
-                vectorized_ns: vectorized,
-                speedup: times[0] / vectorized,
-                bytes_per_ns: mode_bytes(0) / vectorized,
+                ns,
+                bytes_per_ns: (rd + wr) * 8.0 / ns,
             });
-        }
-    }
-
-    // Modes 1..d, both accumulation strategies. Partials are fresh: the
-    // mode-0 timing lanes just rebuilt both stores with fixed factors.
-    for (u, &use_saved) in save.iter().enumerate().take(d).skip(1) {
-        for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
-            let mut outs: Vec<Mat> = variants
-                .iter()
-                .map(|_| Mat::zeros(csf.level_dims()[u], rank))
-                .collect();
-            let mut lanes: Vec<Box<dyn FnMut()>> = Vec::new();
-            {
-                let (ctx, pl, rt) = (&ctx, &mut partials_legacy, &rt);
-                lanes.push(Box::new(move || {
-                    simd::apply(SimdPolicy::Force(SimdPath::Scalar));
-                    std::hint::black_box(kernels_legacy::modeu_pass(
-                        ctx, pl, u, accum, use_saved, rt,
-                    ));
-                }));
-            }
-            for (out, &path) in outs.iter_mut().zip(&variants) {
-                let (ctx, views, rt, ws) = (&ctx, &views, &rt, &ws);
-                lanes.push(Box::new(move || {
-                    simd::apply(SimdPolicy::Force(path));
-                    modeu_with(ctx, views, use_saved, u, accum, rt, &mut ws.borrow_mut(), out);
-                }));
-            }
-            let times = race_ns(2, reps, &mut lanes);
-            drop(lanes);
-            for (i, &path) in variants.iter().enumerate() {
-                let vectorized = times[i + 1];
-                records.push(Record {
-                    mode: u,
-                    accum: accum_name(accum).into(),
-                    use_saved,
-                    simd: path.as_str().into(),
-                    legacy_ns: times[0],
-                    vectorized_ns: vectorized,
-                    speedup: times[0] / vectorized,
-                    bytes_per_ns: mode_bytes(u) / vectorized,
-                });
-            }
         }
     }
     simd::apply(SimdPolicy::Force(detected));
 
-    let mut table = Table::new(&[
-        "mode",
-        "accum",
-        "memo",
-        "simd",
-        "legacy (ms)",
-        "vectorized (ms)",
-        "speedup",
-        "GB/s",
-    ]);
+    let mut table = Table::new(&["mode", "accum", "memo", "simd", "time (ms)", "GB/s"]);
     for r in &records {
         table.row(vec![
             r.mode.to_string(),
             r.accum.clone(),
             if r.use_saved { "saved" } else { "-" }.to_string(),
             r.simd.clone(),
-            format!("{:.3}", r.legacy_ns / 1e6),
-            format!("{:.3}", r.vectorized_ns / 1e6),
-            format!("{:.2}x", r.speedup),
+            format!("{:.3}", r.ns / 1e6),
             format!("{:.2}", r.bytes_per_ns),
         ]);
     }
     eprintln!("{}", table.render());
 
     let report = Report {
-        schema: 2,
-        bench: "mttkrp_legacy_vs_vectorized".into(),
+        schema: 6,
+        bench: "mttkrp_kernels".into(),
         dims: dims.to_vec(),
         nnz: t.nnz(),
         rank,

@@ -27,10 +27,9 @@
 //!
 //! * **No heap allocation inside a pass.** All scratch rows, traversal
 //!   cursors and privatized output copies live in an engine-owned
-//!   [`Workspace`]; the passes only slice into its arenas. (The
-//!   [`mode0_pass`]/[`modeu_pass`] convenience wrappers build a
-//!   throw-away workspace per call for baselines and tests — the engine
-//!   never goes through them.)
+//!   [`Workspace`]; the passes only slice into its arenas. Every caller
+//!   (engines, baselines, benches, tests) owns its workspace and names
+//!   the [`Executor`] the pass fans out on.
 //! * **Monomorphized emitters.** The output update is a generic
 //!   [`Emitter`] parameter — one fully inlined instantiation per
 //!   accumulation strategy — instead of the former `&mut dyn FnMut`
@@ -50,11 +49,12 @@
 //!   summed in logical-thread order — bit-identical to the old serial
 //!   reduction, without its `O(T·n_u·R)` single-core cost.
 //!
-//! All arithmetic orderings match the legacy kernels exactly (see
-//! `kernels_legacy.rs`). Both paths use the same row primitives
-//! (`linalg::simd`), so for any one dispatch variant the two produce
-//! bit-identical results — a property the differential tests pin for
-//! every variant the CPU can run.
+//! Correctness is pinned against `CooTensor::mttkrp_reference` at
+//! tolerance `0.0`: with dyadic factors and half- or quarter-integer
+//! values every product and partial sum is exact in `f64`, so any
+//! correct summation order, fused or not, must reproduce the reference
+//! bit for bit (`tests/differential_kernels.rs`, and the unit tests
+//! below).
 //!
 //! ## SIMD dispatch
 //!
@@ -66,7 +66,6 @@
 //! into the scatter loops: dispatch happens once per pass per thread,
 //! not once per emitted row.
 
-use crate::partials::PartialStore;
 use crate::runtime::Executor;
 use crate::schedule::Schedule;
 use crate::sync::{SharedRows, SharedSlice};
@@ -198,10 +197,6 @@ impl Emitter for AtomicEmitter<'_, '_> {
 // Mode-0 pass
 // ---------------------------------------------------------------------
 
-/// Computes `Ā⁽⁰⁾` and stores all partials flagged in `views`, using the
-/// caller's workspace and fanning out on `rt`. `out` must be
-/// `level_dims[0] × R`; it is zeroed here. Allocation-free once `ws` is
-/// warm (the pool runtime dispatches without touching the allocator).
 #[derive(Clone, Copy)]
 enum KernelPassKind {
     Mode0,
@@ -236,6 +231,10 @@ fn kernel_pass(kind: KernelPassKind) {
     }
 }
 
+/// Computes `Ā⁽⁰⁾` and stores all partials flagged in `views`, using the
+/// caller's workspace and fanning out on `rt`. `out` must be
+/// `level_dims[0] × R`; it is zeroed here. Allocation-free once `ws` is
+/// warm (the pool runtime dispatches without touching the allocator).
 pub fn mode0_with(
     ctx: &KernelCtx<'_>,
     views: &[Option<SharedRows<'_>>],
@@ -921,56 +920,6 @@ fn compute_t<K: RowKernels>(
     }
 }
 
-// ---------------------------------------------------------------------
-// Convenience wrappers (allocating; baselines, STeF2, tests)
-// ---------------------------------------------------------------------
-
-/// Computes `Ā⁽⁰⁾` and stores all partials flagged in `partials`.
-///
-/// `out` must be `level_dims[0] × R`; it is zeroed here. This wrapper
-/// builds a throw-away [`Workspace`] per call and fans out on the
-/// process-global runtime — callers on a hot path (the engine) hold
-/// their own workspace and executor and use [`mode0_with`].
-pub fn mode0_pass(ctx: &KernelCtx<'_>, partials: &mut PartialStore, out: &mut Mat) {
-    assert_eq!(partials.nthreads(), ctx.sched.nthreads());
-    let views = partials.shared_views();
-    let mut ws = Workspace::new(ctx.csf.ndim(), ctx.rank, ctx.sched.nthreads(), 0);
-    mode0_with(ctx, &views, crate::runtime::global(), &mut ws, out);
-}
-
-/// Computes `Ā⁽ᵘ⁾` for a non-root level `u`, using memoized partials
-/// where available (`use_saved`), and returns it (`level_dims[u] × R`).
-/// Allocating wrapper over [`modeu_with`]; see [`mode0_pass`].
-pub fn modeu_pass(
-    ctx: &KernelCtx<'_>,
-    partials: &mut PartialStore,
-    u: usize,
-    accum: ResolvedAccum,
-    use_saved: bool,
-) -> Mat {
-    assert_eq!(partials.nthreads(), ctx.sched.nthreads());
-    let n_u = ctx.csf.level_dims()[u];
-    let mut out = Mat::zeros(n_u, ctx.rank);
-    let priv_rows = if accum == ResolvedAccum::Privatized {
-        n_u
-    } else {
-        0
-    };
-    let mut ws = Workspace::new(ctx.csf.ndim(), ctx.rank, ctx.sched.nthreads(), priv_rows);
-    let views = partials.shared_views();
-    modeu_with(
-        ctx,
-        &views,
-        use_saved,
-        u,
-        accum,
-        crate::runtime::global(),
-        &mut ws,
-        &mut out,
-    );
-    out
-}
-
 /// Children of node `(level-1, pindex)` — the root "parent" is virtual.
 #[inline]
 fn child_range(csf: &Csf, level: usize, pindex: usize) -> (usize, usize) {
@@ -982,6 +931,8 @@ fn child_range(csf: &Csf, level: usize, pindex: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::options::LoadBalance;
+    use crate::partials::PartialStore;
+    use crate::runtime::global;
     use linalg::assert_mat_approx_eq;
     use sptensor::{build_csf, CooTensor};
 
@@ -1005,6 +956,10 @@ mod tests {
         t
     }
 
+    /// Dyadic factors (`k/128 − 1`, `k < 256`). With the tensors'
+    /// quarter-integer values every product and partial sum in these
+    /// tests is exact in `f64`, so any correct summation order, fused
+    /// or not, reproduces `mttkrp_reference` bit for bit.
     fn rand_factors(dims: &[usize], r: usize, seed: u64) -> Vec<Mat> {
         let mut x = seed | 1;
         dims.iter()
@@ -1013,14 +968,38 @@ mod tests {
                     x = x
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    ((x >> 35) % 1000) as f64 / 500.0 - 1.0
+                    ((x >> 35) % 256) as f64 / 128.0 - 1.0
                 })
             })
             .collect()
     }
 
-    /// Runs every mode's MTTKRP with the given config and compares each
-    /// against the COO reference.
+    /// Root pass on the global pool with its own workspace.
+    fn mode0(ctx: &KernelCtx<'_>, partials: &mut PartialStore) -> Mat {
+        let mut out = Mat::zeros(ctx.csf.level_dims()[0], ctx.rank);
+        let mut ws = Workspace::new(ctx.csf.ndim(), ctx.rank, ctx.sched.nthreads(), 0);
+        mode0_with(ctx, &partials.shared_views(), global(), &mut ws, &mut out);
+        out
+    }
+
+    /// Level-`u` pass on the global pool with its own workspace.
+    fn modeu(
+        ctx: &KernelCtx<'_>,
+        partials: &mut PartialStore,
+        u: usize,
+        accum: ResolvedAccum,
+        use_saved: bool,
+    ) -> Mat {
+        let n_u = ctx.csf.level_dims()[u];
+        let mut out = Mat::zeros(n_u, ctx.rank);
+        let mut ws = Workspace::new(ctx.csf.ndim(), ctx.rank, ctx.sched.nthreads(), n_u);
+        let views = partials.shared_views();
+        modeu_with(ctx, &views, use_saved, u, accum, global(), &mut ws, &mut out);
+        out
+    }
+
+    /// Runs every mode's MTTKRP with the given config and asserts each
+    /// equal to the COO reference (tolerance `0.0`; see `rand_factors`).
     #[allow(clippy::too_many_arguments)]
     fn check_all_modes(
         dims: &[usize],
@@ -1045,15 +1024,11 @@ mod tests {
         let refs: Vec<&Mat> = factors.iter().collect();
         let ctx = KernelCtx::new(&csf, &sched, refs, rank);
 
-        let mut out0 = Mat::zeros(dims[0], rank);
-        mode0_pass(&ctx, &mut partials, &mut out0);
-        let expect0 = t.mttkrp_reference(&factors, 0);
-        assert_mat_approx_eq(&out0, &expect0, 1e-9);
-
+        let out0 = mode0(&ctx, &mut partials);
+        assert_mat_approx_eq(&out0, &t.mttkrp_reference(&factors, 0), 0.0);
         for u in 1..dims.len() {
-            let got = modeu_pass(&ctx, &mut partials, u, accum, true);
-            let expect = t.mttkrp_reference(&factors, u);
-            assert_mat_approx_eq(&got, &expect, 1e-9);
+            let got = modeu(&ctx, &mut partials, u, accum, true);
+            assert_mat_approx_eq(&got, &t.mttkrp_reference(&factors, u), 0.0);
         }
     }
 
@@ -1196,12 +1171,11 @@ mod tests {
             let factors = rand_factors(t.dims(), rank, 99);
             let refs: Vec<&Mat> = factors.iter().collect();
             let ctx = KernelCtx::new(&csf, &sched, refs, rank);
-            let mut out0 = Mat::zeros(2, rank);
-            mode0_pass(&ctx, &mut partials, &mut out0);
-            assert_mat_approx_eq(&out0, &t.mttkrp_reference(&factors, 0), 1e-9);
+            let out0 = mode0(&ctx, &mut partials);
+            assert_mat_approx_eq(&out0, &t.mttkrp_reference(&factors, 0), 0.0);
             for u in 1..3 {
-                let got = modeu_pass(&ctx, &mut partials, u, ResolvedAccum::Privatized, true);
-                assert_mat_approx_eq(&got, &t.mttkrp_reference(&factors, u), 1e-9);
+                let got = modeu(&ctx, &mut partials, u, ResolvedAccum::Privatized, true);
+                assert_mat_approx_eq(&got, &t.mttkrp_reference(&factors, u), 0.0);
             }
         }
     }
@@ -1220,8 +1194,8 @@ mod tests {
         let factors = rand_factors(t.dims(), rank, 13);
         let refs: Vec<&Mat> = factors.iter().collect();
         let ctx = KernelCtx::new(&csf, &sched, refs, rank);
-        let got = modeu_pass(&ctx, &mut partials, 1, ResolvedAccum::Privatized, false);
-        assert_mat_approx_eq(&got, &t.mttkrp_reference(&factors, 1), 1e-9);
+        let got = modeu(&ctx, &mut partials, 1, ResolvedAccum::Privatized, false);
+        assert_mat_approx_eq(&got, &t.mttkrp_reference(&factors, 1), 0.0);
     }
 
     #[test]
@@ -1240,62 +1214,28 @@ mod tests {
         let level_refs: Vec<&Mat> = order.iter().map(|&m| &factors[m]).collect();
         let ctx = KernelCtx::new(&csf, &sched, level_refs, rank);
 
-        let mut out0 = Mat::zeros(t.dims()[order[0]], rank);
-        mode0_pass(&ctx, &mut partials, &mut out0);
-        assert_mat_approx_eq(&out0, &t.mttkrp_reference(&factors, order[0]), 1e-9);
+        let out0 = mode0(&ctx, &mut partials);
+        assert_mat_approx_eq(&out0, &t.mttkrp_reference(&factors, order[0]), 0.0);
         for u in 1..3 {
-            let got = modeu_pass(&ctx, &mut partials, u, ResolvedAccum::Privatized, true);
-            assert_mat_approx_eq(&got, &t.mttkrp_reference(&factors, order[u]), 1e-9);
+            let got = modeu(&ctx, &mut partials, u, ResolvedAccum::Privatized, true);
+            assert_mat_approx_eq(&got, &t.mttkrp_reference(&factors, order[u]), 0.0);
         }
     }
 
     #[test]
-    fn matches_legacy_kernels_bitwise() {
-        // The rewrite preserves every arithmetic ordering; when no
-        // multiply-add fuses — scalar dispatch without FMA codegen —
-        // the two implementations must agree bit for bit. Fused
-        // multiply-adds (compile-time FMA codegen, or the runtime AVX2/
-        // NEON paths) round once where legacy's mode-u emit (`krp_row`
-        // then a plain add) rounds twice, so only closeness can be
-        // required there.
-        let fused = cfg!(target_feature = "fma")
-            || linalg::simd::active() != linalg::simd::SimdPath::Scalar;
-        let tol = if fused { 1e-12 } else { 0.0 };
+    fn memo_sets_and_strategies_match_reference() {
+        // 3-way with and without a memo level, 4-way with two memo
+        // levels, 5-way memoizing a deep level, on 1/3/4/5 logical
+        // threads, under both accumulation strategies.
         for (dims, save, nthreads) in [
             (vec![8usize, 9, 10], vec![false, true, false], 1),
             (vec![8, 9, 10], vec![false, false, false], 4),
             (vec![6, 7, 8, 5], vec![false, true, true, false], 3),
             (vec![4, 5, 6, 4, 5], vec![false, false, true, false, false], 5),
         ] {
-            let t = pseudo_tensor(&dims, 420, 21);
-            let csf = build_csf(&t, &(0..dims.len()).collect::<Vec<_>>());
-            let rank = 5;
-            let sched = Schedule::nnz_balanced(&csf, nthreads);
-            let factors = rand_factors(&dims, rank, 22);
-            let refs: Vec<&Mat> = factors.iter().collect();
-            let ctx = KernelCtx::new(&csf, &sched, refs, rank);
-            let mk_partials = || {
-                if save.iter().any(|&s| s) {
-                    PartialStore::allocate(&csf, &save, nthreads, rank)
-                } else {
-                    PartialStore::empty(dims.len(), nthreads, rank)
-                }
-            };
-            let mut p_new = mk_partials();
-            let mut p_old = mk_partials();
-            let mut out_new = Mat::zeros(dims[0], rank);
-            let mut out_old = Mat::zeros(dims[0], rank);
-            mode0_pass(&ctx, &mut p_new, &mut out_new);
-            let rt = crate::runtime::global();
-            crate::kernels_legacy::mode0_pass(&ctx, &mut p_old, rt, &mut out_old);
-            assert_mat_approx_eq(&out_new, &out_old, tol);
-            for u in 1..dims.len() {
-                for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
-                    let a = modeu_pass(&ctx, &mut p_new, u, accum, true);
-                    let b =
-                        crate::kernels_legacy::modeu_pass(&ctx, &mut p_old, u, accum, true, rt);
-                    assert_mat_approx_eq(&a, &b, tol);
-                }
+            for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
+                let balance = LoadBalance::NnzBalanced;
+                check_all_modes(&dims, 420, 5, nthreads, save.clone(), accum, balance, 21);
             }
         }
     }
@@ -1326,7 +1266,7 @@ mod tests {
                 let mut out = Mat::zeros(csf.level_dims()[u], rank);
                 for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
                     modeu_with(&ctx, &views, true, u, accum, &rt, &mut ws, &mut out);
-                    assert_mat_approx_eq(&out, &t.mttkrp_reference(&factors, u), 1e-9);
+                    assert_mat_approx_eq(&out, &t.mttkrp_reference(&factors, u), 0.0);
                 }
             }
         }

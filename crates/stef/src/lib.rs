@@ -49,7 +49,6 @@ pub mod fault;
 pub mod flight;
 pub mod kernels;
 pub mod kernels_alto;
-pub mod kernels_legacy;
 pub mod metrics;
 pub mod model;
 pub mod nonneg;

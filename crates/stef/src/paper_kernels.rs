@@ -208,10 +208,10 @@ mod tests {
     fn paper_listings_match_the_generic_engine() {
         // The crucial fidelity check: the production kernels (Algorithms
         // 4/5 generic recursion) equal the paper's specialized listings.
-        use crate::kernels::{modeu_pass, KernelCtx, ResolvedAccum};
+        use crate::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
         use crate::partials::PartialStore;
         use crate::schedule::Schedule;
-        use crate::LoadBalance;
+        use crate::{LoadBalance, Workspace};
 
         let t = tensor_4d(3);
         let rank = 3;
@@ -222,15 +222,15 @@ mod tests {
 
         // Generic engine with P^(1) memoized.
         let mut partials = PartialStore::allocate(&csf, &[false, true, false, false], 4, rank);
-        {
-            let ctx = KernelCtx::new(&csf, &sched, refs.clone(), rank);
-            let mut out0 = Mat::zeros(t.dims()[0], rank);
-            crate::kernels::mode0_pass(&ctx, &mut partials, &mut out0);
-        }
-        let generic = {
-            let ctx = KernelCtx::new(&csf, &sched, refs.clone(), rank);
-            modeu_pass(&ctx, &mut partials, 1, ResolvedAccum::Privatized, true)
-        };
+        let views = partials.shared_views();
+        let ctx = KernelCtx::new(&csf, &sched, refs.clone(), rank);
+        let rt = crate::runtime::global();
+        let mut ws = Workspace::new(4, rank, 4, t.dims()[1]);
+        let mut out0 = Mat::zeros(t.dims()[0], rank);
+        mode0_with(&ctx, &views, rt, &mut ws, &mut out0);
+        let mut generic = Mat::zeros(t.dims()[1], rank);
+        let accum = ResolvedAccum::Privatized;
+        modeu_with(&ctx, &views, true, 1, accum, rt, &mut ws, &mut generic);
         let p1 = dense_partials_4d(&csf, &refs, 1, rank);
         let paper = alg6_mode1_with_p1(&csf, &refs, &p1, rank);
         assert_mat_approx_eq(&generic, &paper, 1e-9);

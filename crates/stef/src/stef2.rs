@@ -9,12 +9,13 @@
 //! through the memoized base engine.
 
 use crate::engine::{MttkrpEngine, Stef};
-use crate::kernels::{mode0_pass, KernelCtx};
+use crate::kernels::{mode0_with, KernelCtx};
 use crate::options::StefOptions;
 use crate::partials::PartialStore;
 use crate::runtime::RuntimeCounters;
 use crate::schedule::Schedule;
 use crate::telemetry::ModeStats;
+use crate::workspace::Workspace;
 use linalg::Mat;
 use sptensor::{build_csf, CooTensor, Csf};
 
@@ -26,6 +27,8 @@ pub struct Stef2 {
     sched2: Schedule,
     /// Empty store — the second CSF never memoizes.
     partials2: PartialStore,
+    /// Kernel scratch for the leaf pass, sized once at preparation.
+    ws2: Workspace,
     /// The original mode served by the second CSF.
     leaf_mode: usize,
     /// Telemetry: measured stats of the most recent leaf-mode pass
@@ -61,6 +64,7 @@ impl Stef2 {
         let nthreads = base.schedule().nthreads();
         let sched2 = Schedule::build(&csf2, nthreads, opts.load_balance);
         let partials2 = PartialStore::empty(d, nthreads, opts.rank);
+        let ws2 = Workspace::new(d, opts.rank, nthreads, 0);
         let profile2 = crate::model::LevelProfile::from_csf(&csf2, opts.rank, opts.cache_bytes);
         let leaf_predicted = profile2.traffic_by_level(&vec![false; d])[0];
         Ok(Stef2 {
@@ -68,6 +72,7 @@ impl Stef2 {
             csf2,
             sched2,
             partials2,
+            ws2,
             leaf_mode,
             leaf_stats: None,
             leaf_predicted,
@@ -118,13 +123,15 @@ impl MttkrpEngine for Stef2 {
         if mode != self.leaf_mode {
             return self.base.mttkrp(factors, mode);
         }
-        // Root-mode pass on the second CSF (no memoization).
+        // Root-mode pass on the second CSF (no memoization), on the
+        // base engine's pool.
         let rank = self.base.options().rank;
         let order2 = self.csf2.mode_order().to_vec();
         let level_factors: Vec<&Mat> = order2.iter().map(|&m| &factors[m]).collect();
         let ctx = KernelCtx::new(&self.csf2, &self.sched2, level_factors, rank);
         let mut out = Mat::zeros(self.csf2.level_dims()[0], rank);
-        mode0_pass(&ctx, &mut self.partials2, &mut out);
+        let views = self.partials2.shared_views();
+        mode0_with(&ctx, &views, self.base.executor(), &mut self.ws2, &mut out);
         // Root-style full traversal of the second CSF, no memo.
         let d2 = self.csf2.ndim();
         let (reads, writes) = crate::counters::count_mode0(&self.csf2, &[], rank);
@@ -166,7 +173,7 @@ impl MttkrpEngine for Stef2 {
     }
 
     fn telemetry_alloc_events(&self) -> u64 {
-        self.base.telemetry_alloc_events()
+        self.base.telemetry_alloc_events() + self.ws2.alloc_events()
     }
 
     fn telemetry_runtime_counters(&self) -> Option<RuntimeCounters> {

@@ -1,17 +1,19 @@
-//! The CPD driver's dense update (solve, normalization, Gram) runs on
-//! the engine's own worker pool, not on threads of its own.
+//! The CPD driver's dense update (solve, normalization, Gram) and every
+//! MTTKRP pass, STeF2's second-CSF leaf pass included, run on the
+//! engine's own worker pool, not on threads of their own.
 //!
 //! This binary never calls `stef::runtime::global()`, so nothing here
 //! creates the process-wide pool. An engine sized to one worker spawns
 //! no threads, so the thread count must not grow while `cpd_als` runs,
-//! and every dense fan-out must show up in the engine's own counters.
+//! and every fan-out must show up in the engine's own counters.
 //! Keep this the only test in the binary: a concurrent test would add
 //! threads of its own.
 
 use linalg::Mat;
+use sptensor::CooTensor;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use stef::{cpd_als, CpdOptions, MttkrpEngine, RuntimeCounters, Stef, StefOptions};
+use stef::{cpd_als, CpdOptions, MttkrpEngine, RuntimeCounters, Stef, Stef2, StefOptions};
 use workloads::power_law_tensor;
 
 /// Fan-outs the pool ran, dispatched or inline.
@@ -21,12 +23,14 @@ fn fanouts(c: &RuntimeCounters) -> u64 {
 
 /// Wraps an engine and tallies the pool fan-outs its MTTKRPs make, so
 /// the driver's own fan-outs are the rest.
-struct Tally {
-    inner: Stef,
+struct Tally<E> {
+    inner: E,
     mttkrp_fanouts: u64,
+    /// MTTKRP calls that ran no fan-out on the engine's pool.
+    off_pool_mttkrps: u64,
 }
 
-impl MttkrpEngine for Tally {
+impl<E: MttkrpEngine> MttkrpEngine for Tally<E> {
     fn dims(&self) -> &[usize] {
         self.inner.dims()
     }
@@ -40,13 +44,15 @@ impl MttkrpEngine for Tally {
         self.inner.norm_sq()
     }
     fn mttkrp(&mut self, factors: &[Mat], mode: usize) -> Mat {
-        let before = fanouts(&self.inner.runtime_counters());
+        let before = fanouts(&self.inner.executor().counters());
         let out = self.inner.mttkrp(factors, mode);
-        self.mttkrp_fanouts += fanouts(&self.inner.runtime_counters()) - before;
+        let ran = fanouts(&self.inner.executor().counters()) - before;
+        self.mttkrp_fanouts += ran;
+        self.off_pool_mttkrps += u64::from(ran == 0);
         out
     }
     fn executor(&self) -> &stef::Executor {
-        MttkrpEngine::executor(&self.inner)
+        self.inner.executor()
     }
 }
 
@@ -61,18 +67,17 @@ fn threads() -> usize {
         .expect("Threads: line")
 }
 
-#[test]
-fn dense_update_runs_on_the_engines_one_worker_pool() {
-    // Mode 0 has 6000 rows: above the row count where the dense passes
-    // split into blocks, so a per-call thread fallback would show.
-    let t = power_law_tensor(&[6000, 60, 40], 30_000, &[0.6, 0.6, 0.6], 7);
-    let mut opts = StefOptions::new(8);
-    opts.num_threads = 1;
+/// Runs three CPD iterations on `inner` (built with `num_threads = 1`)
+/// while sampling the process's thread count, then checks that no
+/// thread appeared and that every fan-out ran on the engine's pool.
+fn check_one_worker_engine<E: MttkrpEngine>(t: &CooTensor, inner: E) {
+    let name = inner.name();
     let mut engine = Tally {
-        inner: Stef::prepare(&t, opts),
+        inner,
         mttkrp_fanouts: 0,
+        off_pool_mttkrps: 0,
     };
-    assert_eq!(engine.inner.executor().workers(), 1);
+    assert_eq!(engine.executor().workers(), 1, "{name}");
     let copts = CpdOptions {
         max_iters: 3,
         tol: 0.0,
@@ -98,9 +103,9 @@ fn dense_update_runs_on_the_engines_one_worker_pool() {
         threads()
     };
 
-    let before = fanouts(&engine.inner.runtime_counters());
+    let before = fanouts(&engine.executor().counters());
     let result = cpd_als(&mut engine, &copts).expect("healthy run");
-    let total = fanouts(&engine.inner.runtime_counters()) - before;
+    let total = fanouts(&engine.executor().counters()) - before;
 
     stop.store(true, Ordering::Relaxed);
     #[cfg(target_os = "linux")]
@@ -109,10 +114,15 @@ fn dense_update_runs_on_the_engines_one_worker_pool() {
         let peak = peak.load(Ordering::Relaxed);
         assert!(
             peak <= baseline,
-            "threads grew during cpd_als: {baseline} -> {peak}"
+            "{name}: threads grew during cpd_als: {baseline} -> {peak}"
         );
     }
 
+    // Every MTTKRP fans out at least once on the engine's pool.
+    assert_eq!(
+        engine.off_pool_mttkrps, 0,
+        "{name}: MTTKRPs missing from the engine's counters"
+    );
     // One Gram per factor before the loop, then two passes (solve, scale)
     // per mode update.
     let d = t.dims().len() as u64;
@@ -121,6 +131,19 @@ fn dense_update_runs_on_the_engines_one_worker_pool() {
     assert_eq!(
         dense,
         d + 2 * d * result.iterations as u64,
-        "dense fan-outs on the engine's pool"
+        "{name}: dense fan-outs on the engine's pool"
     );
+}
+
+#[test]
+fn dense_update_runs_on_the_engines_one_worker_pool() {
+    // Mode 0 has 6000 rows: above the row count where the dense passes
+    // split into blocks, so a per-call thread fallback would show.
+    let t = power_law_tensor(&[6000, 60, 40], 30_000, &[0.6, 0.6, 0.6], 7);
+    let mut opts = StefOptions::new(8);
+    opts.num_threads = 1;
+    check_one_worker_engine(&t, Stef::prepare(&t, opts.clone()));
+    // STeF2's leaf mode runs on its second CSF: that pass must use the
+    // base engine's pool too.
+    check_one_worker_engine(&t, Stef2::prepare(&t, opts));
 }

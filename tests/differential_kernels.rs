@@ -1,16 +1,20 @@
-//! Differential tests for the vectorized kernel path: on random 3-, 4-
-//! and 5-way tensors, every (mode × accumulation × memo-set ×
-//! load-balance) combination of the new iterative kernels must agree
-//! with the pre-rewrite recursive kernels to 1e-12 and with the naive
-//! COO reference to 1e-9. A second, deterministic test pins the new
-//! kernels against the paper's literal Algorithm 6/7/8 listings.
+//! Exact-oracle tests for the MTTKRP kernels. Factors are dyadic
+//! (`k/128 − 1`, `k < 256`) and tensor values are half-integers (or
+//! quarter-integers), so for these sizes (d ≤ 5, ≤ 600 nnz) every
+//! product and partial sum is a multiple of 2⁻³⁰ below 2¹¹ and `f64`
+//! arithmetic is exact. Any correct summation order — fused or not,
+//! on any SIMD path — therefore gives the same bits as the naive COO
+//! reference, and the kernels are asserted against it at tolerance
+//! `0.0`: every (mode × accumulation × memo-set × memo-use ×
+//! load-balance) combination on random 3-, 4- and 5-way tensors, and
+//! the paper's literal Algorithm 6/7/8 listings.
 
 use linalg::{assert_mat_approx_eq, Mat};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use sptensor::{build_csf, CooTensor};
 use stef::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
-use stef::{kernels_legacy, LoadBalance, PartialStore, Schedule, Workspace};
+use stef::{LoadBalance, PartialStore, Schedule, Workspace};
 
 /// Strategy: a random small tensor with 3–5 modes.
 fn arb_tensor() -> impl Strategy<Value = CooTensor> {
@@ -42,6 +46,7 @@ fn arb_tensor() -> impl Strategy<Value = CooTensor> {
         .prop_filter("need at least one nnz", |t| t.nnz() > 0)
 }
 
+/// Dyadic factors: every entry is `k/128 − 1` for some `k < 256`.
 fn factors_for(dims: &[usize], rank: usize, seed: u64) -> Vec<Mat> {
     let mut x = seed | 1;
     dims.iter()
@@ -50,7 +55,7 @@ fn factors_for(dims: &[usize], rank: usize, seed: u64) -> Vec<Mat> {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                ((x >> 35) % 1000) as f64 / 500.0 - 1.0
+                ((x >> 35) % 256) as f64 / 128.0 - 1.0
             })
         })
         .collect()
@@ -60,7 +65,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn vectorized_matches_legacy_and_reference(
+    fn kernels_match_exact_reference(
         t in arb_tensor(),
         rank in 1usize..=4,
         nthreads in 1usize..=7,
@@ -86,51 +91,25 @@ proptest! {
         for (l, s) in save.iter_mut().enumerate().take(d - 1).skip(1) {
             *s = (memo_mask >> l) & 1 == 1;
         }
-        let mut p_new = PartialStore::allocate(&csf, &save, nthreads, rank);
-        let mut p_old = PartialStore::allocate(&csf, &save, nthreads, rank);
+        let mut partials = PartialStore::allocate(&csf, &save, nthreads, rank);
         let max_dim = *csf.level_dims().iter().max().unwrap();
         let mut ws = Workspace::new(d, rank, nthreads, max_dim);
+        let rt = stef::runtime::global();
+        let views = partials.shared_views();
 
-        // Both paths run mode 0 first, populating their own partials.
-        let mut out_new = Mat::zeros(csf.level_dims()[0], rank);
-        {
-            let views = p_new.shared_views();
-            mode0_with(&ctx, &views, stef::runtime::global(), &mut ws, &mut out_new);
-        }
-        let mut out_old = Mat::zeros(csf.level_dims()[0], rank);
-        kernels_legacy::mode0_pass(&ctx, &mut p_old, stef::runtime::global(), &mut out_old);
-        assert_mat_approx_eq(&out_new, &out_old, 1e-12);
-        assert_mat_approx_eq(&out_new, &t.mttkrp_reference(&factors, 0), 1e-9);
+        // Mode 0 first: it fills the memoized partials.
+        let mut out0 = Mat::zeros(csf.level_dims()[0], rank);
+        mode0_with(&ctx, &views, rt, &mut ws, &mut out0);
+        assert_mat_approx_eq(&out0, &t.mttkrp_reference(&factors, 0), 0.0);
 
         // Every non-root mode × accumulation strategy × memo usage.
         for u in 1..d {
             let expect = t.mttkrp_reference(&factors, u);
             for accum in [ResolvedAccum::Privatized, ResolvedAccum::Atomic] {
                 for use_saved in [true, false] {
-                    let old = kernels_legacy::modeu_pass(
-                        &ctx,
-                        &mut p_old,
-                        u,
-                        accum,
-                        use_saved,
-                        stef::runtime::global(),
-                    );
-                    let mut new = Mat::zeros(csf.level_dims()[u], rank);
-                    {
-                        let views = p_new.shared_views();
-                        modeu_with(
-                            &ctx,
-                            &views,
-                            use_saved,
-                            u,
-                            accum,
-                            stef::runtime::global(),
-                            &mut ws,
-                            &mut new,
-                        );
-                    }
-                    assert_mat_approx_eq(&new, &old, 1e-12);
-                    assert_mat_approx_eq(&new, &expect, 1e-9);
+                    let mut out = Mat::zeros(csf.level_dims()[u], rank);
+                    modeu_with(&ctx, &views, use_saved, u, accum, rt, &mut ws, &mut out);
+                    assert_mat_approx_eq(&out, &expect, 0.0);
                 }
             }
         }
@@ -207,7 +186,7 @@ fn vectorized_kernels_match_paper_listings() {
             &[false, true, false, false],
             true,
         );
-        assert_mat_approx_eq(&got, &alg6_mode1_with_p1(&csf, &refs, &p1, rank), 1e-12);
+        assert_mat_approx_eq(&got, &alg6_mode1_with_p1(&csf, &refs, &p1, rank), 0.0);
 
         // Algorithm 7: P^(2) stored.
         let got = mode1_vectorized(
@@ -218,7 +197,7 @@ fn vectorized_kernels_match_paper_listings() {
             &[false, false, true, false],
             true,
         );
-        assert_mat_approx_eq(&got, &alg7_mode1_with_p2(&csf, &refs, &p2, rank), 1e-12);
+        assert_mat_approx_eq(&got, &alg7_mode1_with_p2(&csf, &refs, &p2, rank), 0.0);
 
         // Algorithm 8: nothing stored.
         let got = mode1_vectorized(
@@ -229,6 +208,6 @@ fn vectorized_kernels_match_paper_listings() {
             &[false, false, false, false],
             false,
         );
-        assert_mat_approx_eq(&got, &alg8_mode1_no_save(&csf, &refs, rank), 1e-12);
+        assert_mat_approx_eq(&got, &alg8_mode1_no_save(&csf, &refs, rank), 0.0);
     }
 }
