@@ -17,10 +17,11 @@
 //! `--engine auto`. Every mode shares the one linearized copy — the
 //! engine never permutes or rebuilds, so its preparation is one sort.
 
+use crate::engine::{prepare_input, Accumulation};
 use crate::kernels::ResolvedAccum;
 use crate::kernels_alto::alto_mode_with;
-use crate::model::{prefer_privatized, AltoProfile, DegradationEvent, LevelProfile};
-use crate::options::{AccumStrategy, StefOptions};
+use crate::model::{AltoProfile, DegradationEvent, LevelProfile};
+use crate::options::StefOptions;
 use crate::runtime::{Executor, RuntimeCounters};
 use crate::telemetry::ModeStats;
 use crate::workspace::Workspace;
@@ -66,117 +67,37 @@ impl AltoEngine {
     /// with `StefError::Input` — `--engine auto` never selects the
     /// linearized engine for them.
     pub fn try_prepare(coo: &CooTensor, opts: StefOptions) -> Result<Self, crate::StefError> {
-        use crate::error::StefError;
-        if opts.rank < 1 {
-            return Err(StefError::Input("rank must be positive".into()));
-        }
-        if coo.nnz() == 0 {
-            return Err(StefError::Input("empty tensors are not supported".into()));
-        }
-        if coo.ndim() < 2 {
-            return Err(StefError::Input(format!(
-                "need at least 2 modes, got {}",
-                coo.ndim()
-            )));
-        }
-        if !crate::recover::slice_is_finite(coo.values()) {
-            return Err(StefError::Input(
-                "tensor contains non-finite values".into(),
-            ));
-        }
-        linalg::simd::apply(opts.simd);
+        let exec = prepare_input(coo, &opts)?;
+        Self::build(coo, opts, exec)
+    }
+
+    /// Builds the engine on `exec` for checked input (see
+    /// [`crate::engine::build_engine`]).
+    pub(crate) fn build(
+        coo: &CooTensor,
+        opts: StefOptions,
+        exec: Executor,
+    ) -> Result<Self, crate::StefError> {
         let d = coo.ndim();
-        let nthreads = opts.threads();
         let lin = Linearized::build(coo).map_err(|bits| {
-            StefError::Input(format!(
+            crate::StefError::Input(format!(
                 "tensor coordinates need {bits} linearized index bits; \
                  the alto engine supports at most 128"
             ))
         })?;
-
-        let profile = AltoProfile {
-            dims: coo.dims().to_vec(),
-            nnz: coo.nnz(),
-            rank: opts.rank,
-            cache_elems: opts.cache_bytes / std::mem::size_of::<f64>(),
-            idx_elems: lin.index_elems(),
-        };
-        // The accumulation chooser prices privatized reduction against
-        // atomic scatter from per-level fiber counts. The linearized
-        // sweep updates the output once per non-zero (there is no fiber
-        // collapsing), so the equivalent "fiber count" at every mode is
-        // simply nnz.
-        let synth = LevelProfile {
+        let profile = AltoProfile::new(coo.dims(), coo.nnz(), opts.rank, opts.cache_bytes);
+        // The sweep updates the output once per non-zero (no fibers
+        // collapse), so every mode has nnz "fibers" and scatters. With no
+        // partials, the budget can only flip privatized modes to atomic.
+        let flat = LevelProfile {
             dims: coo.dims().to_vec(),
             fibers: vec![coo.nnz(); d],
             rank: opts.rank,
             cache_elems: profile.cache_elems,
         };
-        let mut accum_by_mode: Vec<ResolvedAccum> = (0..d)
-            .map(|mode| match opts.accum {
-                AccumStrategy::Privatized => ResolvedAccum::Privatized,
-                AccumStrategy::Atomic => ResolvedAccum::Atomic,
-                AccumStrategy::Auto => {
-                    let bytes =
-                        nthreads * coo.dims()[mode] * opts.rank * std::mem::size_of::<f64>();
-                    if bytes > opts.privatize_cap_bytes {
-                        ResolvedAccum::Atomic
-                    } else if prefer_privatized(&synth, mode, nthreads) {
-                        ResolvedAccum::Privatized
-                    } else {
-                        ResolvedAccum::Atomic
-                    }
-                }
-            })
-            .collect();
-
-        // Memory-budget fit: the only degradable arena here is the
-        // privatized pool (there are no memoized partials to drop), so
-        // flip privatized modes to atomic largest-first until the
-        // configuration fits.
-        let mut degradations = Vec::new();
-        if opts.memory_budget > 0 {
-            let fixed = Workspace::fixed_bytes(d, opts.rank, nthreads)
-                + lin.memory_bytes();
-            let pool = |accum: &[ResolvedAccum]| -> usize {
-                let rows = (0..d)
-                    .filter(|&m| accum[m] == ResolvedAccum::Privatized)
-                    .map(|m| coo.dims()[m])
-                    .max()
-                    .unwrap_or(0);
-                nthreads * rows * opts.rank * std::mem::size_of::<f64>()
-            };
-            while fixed + pool(&accum_by_mode) > opts.memory_budget {
-                let Some(mode) = (0..d)
-                    .filter(|&m| accum_by_mode[m] == ResolvedAccum::Privatized)
-                    .max_by_key(|&m| coo.dims()[m])
-                else {
-                    return Err(StefError::BudgetExceeded {
-                        required: fixed,
-                        budget: opts.memory_budget,
-                    });
-                };
-                let before = pool(&accum_by_mode);
-                accum_by_mode[mode] = ResolvedAccum::Atomic;
-                degradations.push(DegradationEvent::PrivatizedToAtomic {
-                    level: mode,
-                    bytes: before - pool(&accum_by_mode),
-                });
-            }
-        }
-
-        let max_priv_rows = (0..d)
-            .filter(|&m| accum_by_mode[m] == ResolvedAccum::Privatized)
-            .map(|m| coo.dims()[m])
-            .max()
-            .unwrap_or(0);
-        let ws = Workspace::try_new(d, opts.rank, nthreads, max_priv_rows).map_err(|required| {
-            StefError::BudgetExceeded {
-                required,
-                budget: opts.memory_budget,
-            }
-        })?;
-        let exec = Executor::with_numa(opts.workers(), opts.numa);
+        let fixed = Workspace::fixed_bytes(d, opts.rank, opts.threads()) + lin.memory_bytes();
+        let accum = Accumulation::plan(&flat, 0, vec![false; d], fixed, &opts)?;
+        let ws = accum.workspace(&opts)?;
         if opts.cancel.is_some() {
             exec.set_cancel(opts.cancel.clone());
         }
@@ -185,10 +106,10 @@ impl AltoEngine {
             dims: coo.dims().to_vec(),
             norm_sq: coo.norm_sq(),
             opts,
-            accum_by_mode,
+            accum_by_mode: accum.accum,
             ws,
             exec,
-            degradations,
+            degradations: accum.degradations,
             last_stats: vec![None; d],
             lin,
             profile,
@@ -322,6 +243,7 @@ impl crate::engine::MttkrpEngine for AltoEngine {
 mod tests {
     use super::*;
     use crate::engine::MttkrpEngine;
+    use crate::options::AccumStrategy;
     use linalg::assert_mat_approx_eq;
 
     fn pseudo_tensor(dims: &[usize], nnz: usize, seed: u64) -> CooTensor {
@@ -431,6 +353,31 @@ mod tests {
         let factors = rand_factors(t.dims(), 8, 9);
         let got = engine.mttkrp(&factors, 0);
         assert_mat_approx_eq(&got, &t.mttkrp_reference(&factors, 0), 1e-9);
+    }
+
+    #[test]
+    fn budget_prices_the_padded_privatized_pool() {
+        // 63 rows × rank 5 = 315 elements per thread, which the workspace
+        // pads to 320. A budget with room for exactly 4·315 elements of
+        // pool must not admit the padded 4·320: mode 0, the longest, is
+        // flipped to atomic first, and the rest then fits.
+        let t = pseudo_tensor(&[63, 48, 40], 700, 16);
+        let mut opts = StefOptions::new(5);
+        opts.accum = AccumStrategy::Privatized;
+        opts.num_threads = 4;
+        let lin_bytes = Linearized::build(&t).unwrap().memory_bytes();
+        opts.memory_budget = Workspace::fixed_bytes(3, 5, 4) + lin_bytes + 4 * 63 * 5 * 8;
+        let engine = AltoEngine::try_prepare(&t, opts.clone()).expect("degrades, not dies");
+        assert!(
+            matches!(
+                engine.degradations().first(),
+                Some(DegradationEvent::PrivatizedToAtomic { level: 0, .. })
+            ),
+            "expected mode 0 flipped first, got {:?}",
+            engine.degradations()
+        );
+        assert_eq!(engine.resolved_accum(0), ResolvedAccum::Atomic);
+        assert!(engine.ws.bytes() + lin_bytes <= opts.memory_budget);
     }
 
     #[test]

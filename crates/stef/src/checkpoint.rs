@@ -200,6 +200,21 @@ pub(crate) fn parse_f64(tok: &str, what: &str) -> Result<f64, CheckpointError> {
     Ok(f64::from_bits(bits))
 }
 
+/// Replaces `path` with `bytes` atomically and durably, for checkpoints
+/// and journal compaction alike: writes and fsyncs `tmp`, renames it
+/// over `path`, then fsyncs the directory so the rename itself survives
+/// a crash.
+pub(crate) fn replace_file(path: &Path, tmp: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    {
+        let mut file = std::fs::File::create(tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
 fn parse_usize(tok: &str, what: &str) -> Result<usize, CheckpointError> {
     tok.parse().map_err(|_| CheckpointError::Corrupt {
         reason: format!("bad {what} '{tok}'"),
@@ -245,15 +260,9 @@ impl Checkpoint {
         body.into_bytes()
     }
 
-    /// Atomic save: writes `<path>.tmp`, then renames over `path`.
+    /// Atomic, durable save through `<path>.tmp` (see [`replace_file`]).
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
+        replace_file(path, &path.with_extension("tmp"), &self.to_bytes())?;
         Ok(())
     }
 

@@ -3,10 +3,11 @@
 //! workspace (STeF, STeF2, all baselines, the COO reference) implements
 //! so that the CPD driver and the benchmark harness treat them uniformly.
 
+use crate::alto::AltoEngine;
 use crate::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
 use crate::model::{
     best_memo_set, choose_plan, fit_memory_budget, op_count_memo_set, prefer_privatized,
-    DegradationEvent, LevelProfile, MemoPlan,
+    AltoProfile, DegradationEvent, LevelProfile, MemoPlan,
 };
 use crate::options::{AccumStrategy, MemoPolicy, ModeSwitchPolicy, StefOptions};
 use crate::partials::PartialStore;
@@ -14,6 +15,7 @@ use crate::runtime::{Executor, RuntimeCounters};
 use crate::schedule::Schedule;
 use crate::telemetry::ModeStats;
 use crate::workspace::Workspace;
+use linalg::par::Fanout;
 use linalg::Mat;
 use sptensor::{build_csf, inverse_permutation, sort_modes_by_length, CooTensor, Csf};
 
@@ -148,53 +150,247 @@ impl<E: MttkrpEngine + ?Sized> MttkrpEngine for Box<E> {
     }
 }
 
-/// Builds the engine `opts.engine` selects.
+/// Builds the engine `opts.engine` selects, and only that engine.
 ///
-/// `Csf` and `Alto` construct that engine directly. `Auto` prepares the
-/// CSF engine first (its plan carries the §IV-C predicted traffic for
-/// the model-chosen order + memoization), prices the linearized layout
-/// with [`crate::model::AltoProfile`], and keeps whichever the model
-/// says moves less data. Tensors whose interleaved index would exceed
-/// 128 bits are never eligible for the linearized engine — `Auto`
-/// silently keeps CSF for them.
+/// Every choice goes through one preparation path: the input is checked
+/// once, the SIMD policy applied and one [`Executor`] created, which the
+/// built engine owns. `Alto` then linearizes. `Csf` and `Auto` first
+/// plan the CSF engine from §IV-C level profiles alone: the CSF in
+/// mode-length order, Algorithm 9's swapped profile, the memo set, the
+/// accumulation and the memory-budget fit. `Auto` compares that plan's
+/// predicted traffic with [`crate::model::AltoProfile`]'s price of the
+/// linearized layout and builds whichever moves less data; when ALTO
+/// wins, no swapped CSF, schedule, partial store or CSF workspace is
+/// built. Tensors whose interleaved index would exceed 128 bits are
+/// never eligible for the linearized engine — `Auto` silently keeps CSF
+/// for them.
 pub fn build_engine(
     coo: &CooTensor,
     opts: StefOptions,
 ) -> Result<Box<dyn MttkrpEngine + Send>, crate::StefError> {
     use crate::options::EngineChoice;
-    match opts.engine {
-        EngineChoice::Csf => Ok(Box::new(Stef::try_prepare(coo, opts)?)),
-        EngineChoice::Alto => Ok(Box::new(crate::alto::AltoEngine::try_prepare(coo, opts)?)),
-        EngineChoice::Auto => {
-            let choice = |picked: &'static str| {
-                crate::metrics::counter(
-                    "stef_engine_choice_total",
-                    "Engines picked by --engine auto's Sec. IV-C traffic bid",
-                    &[("engine", picked)],
-                )
-                .inc();
-            };
-            let stef = Stef::try_prepare(coo, opts.clone())?;
-            let bits = sptensor::index_bits_for(coo.dims());
-            if bits > 128 {
-                choice("csf");
-                return Ok(Box::new(stef));
-            }
-            let alto_profile = crate::model::AltoProfile {
-                dims: coo.dims().to_vec(),
-                nnz: coo.nnz(),
-                rank: opts.rank,
-                cache_elems: opts.cache_bytes / std::mem::size_of::<f64>(),
-                idx_elems: if bits <= 64 { 1 } else { 2 },
-            };
-            if alto_profile.total_traffic() < stef.plan().predicted {
-                choice("alto");
-                Ok(Box::new(crate::alto::AltoEngine::try_prepare(coo, opts)?))
-            } else {
-                choice("csf");
-                Ok(Box::new(stef))
-            }
+    let exec = prepare_input(coo, &opts)?;
+    if opts.engine == EngineChoice::Alto {
+        return Ok(Box::new(AltoEngine::build(coo, opts, exec)?));
+    }
+    let plan = CsfPlan::new(coo, &opts, &exec)?;
+    if opts.engine == EngineChoice::Auto {
+        let alto_wins = sptensor::index_bits_for(coo.dims()) <= 128
+            && AltoProfile::new(coo.dims(), coo.nnz(), opts.rank, opts.cache_bytes).total_traffic()
+                < plan.plan.predicted;
+        let picked = if alto_wins { "alto" } else { "csf" };
+        crate::metrics::counter(
+            "stef_engine_choice_total",
+            "Engines picked by --engine auto's Sec. IV-C traffic bid",
+            &[("engine", picked)],
+        )
+        .inc();
+        if alto_wins {
+            drop(plan);
+            return Ok(Box::new(AltoEngine::build(coo, opts, exec)?));
         }
+    }
+    Ok(Box::new(Stef::build(coo, opts, plan, exec)?))
+}
+
+/// Rejects input no engine accepts, with a typed
+/// [`crate::StefError::Input`].
+pub(crate) fn check_input(coo: &CooTensor, rank: usize) -> Result<(), crate::StefError> {
+    let problem = if rank < 1 {
+        "rank must be positive".to_string()
+    } else if coo.nnz() == 0 {
+        "empty tensors are not supported".to_string()
+    } else if coo.ndim() < 2 {
+        format!("need at least 2 modes, got {}", coo.ndim())
+    } else if !crate::recover::slice_is_finite(coo.values()) {
+        "tensor contains non-finite values".to_string()
+    } else {
+        return Ok(());
+    };
+    Err(crate::StefError::Input(problem))
+}
+
+/// The typed error for an arena of `required` bytes that `budget` (or
+/// the allocator) cannot hold.
+fn over_budget(budget: usize) -> impl Fn(usize) -> crate::StefError {
+    move |required| crate::StefError::BudgetExceeded { required, budget }
+}
+
+/// The first step of every engine's preparation: checks the input,
+/// selects the SIMD kernel path for the process (`Auto` keeps any
+/// earlier explicit selection; `Force` pins one for A/B runs), and
+/// creates the executor the engine will own. The pool exists before
+/// planning so Algorithm 9's swap count runs on it; the engine installs
+/// the cancel token once preparation is done.
+pub(crate) fn prepare_input(
+    coo: &CooTensor,
+    opts: &StefOptions,
+) -> Result<Executor, crate::StefError> {
+    check_input(coo, opts.rank)?;
+    linalg::simd::apply(opts.simd);
+    Ok(Executor::with_numa(opts.workers(), opts.numa))
+}
+
+/// How each level of an engine accumulates into its output, fitted into
+/// `StefOptions::memory_budget` together with the memo set. Both engines
+/// resolve it the same way, each on its own profile.
+pub(crate) struct Accumulation {
+    /// The first level that scatters into a shared output; the levels
+    /// before it own their rows and report `Privatized`.
+    first_consumer: usize,
+    /// Memoization flags after the budget fit.
+    pub(crate) save: Vec<bool>,
+    pub(crate) accum: Vec<ResolvedAccum>,
+    /// Rows per logical thread of the privatized-output pool.
+    priv_rows: usize,
+    pub(crate) degradations: Vec<DegradationEvent>,
+}
+
+impl Accumulation {
+    /// Resolves `opts.accum` for every level from `first_consumer` on —
+    /// a hard privatization cap, then the model's cost comparison on
+    /// `profile` — and fits `save` and the privatized pool into the
+    /// budget with [`fit_memory_budget`] (degrade, don't die).
+    /// `fixed_bytes` is the floor no relaxation frees.
+    pub(crate) fn plan(
+        profile: &LevelProfile,
+        first_consumer: usize,
+        save: Vec<bool>,
+        fixed_bytes: usize,
+        opts: &StefOptions,
+    ) -> Result<Self, crate::StefError> {
+        let (d, nthreads, budget) = (profile.dims.len(), opts.threads(), opts.memory_budget);
+        let privatized = (0..d)
+            .map(|l| match opts.accum {
+                _ if l < first_consumer => false,
+                AccumStrategy::Privatized => true,
+                AccumStrategy::Atomic => false,
+                AccumStrategy::Auto => {
+                    nthreads * profile.dims[l] * opts.rank * std::mem::size_of::<f64>()
+                        <= opts.privatize_cap_bytes
+                        && prefer_privatized(profile, l, nthreads)
+                }
+            })
+            .collect();
+        let fit = fit_memory_budget(profile, save, privatized, nthreads, fixed_bytes, budget)
+            .map_err(over_budget(budget))?;
+        let priv_rows = (0..d)
+            .filter(|&l| fit.privatized[l])
+            .map(|l| profile.dims[l])
+            .max();
+        let accum = (0..d)
+            .map(|l| {
+                if fit.privatized[l] || l < first_consumer {
+                    ResolvedAccum::Privatized
+                } else {
+                    ResolvedAccum::Atomic
+                }
+            })
+            .collect();
+        Ok(Accumulation {
+            first_consumer,
+            save: fit.save,
+            accum,
+            priv_rows: priv_rows.unwrap_or(0),
+            degradations: fit.events,
+        })
+    }
+
+    /// Allocates the kernel workspace this accumulation needs and counts
+    /// the resolved strategies of the engine being built.
+    pub(crate) fn workspace(&self, opts: &StefOptions) -> Result<Workspace, crate::StefError> {
+        for accum in &self.accum[self.first_consumer..] {
+            let strategy = match accum {
+                ResolvedAccum::Privatized => "privatized",
+                ResolvedAccum::Atomic => "atomic",
+            };
+            crate::metrics::counter(
+                "stef_accum_resolved_total",
+                "Accumulation strategies resolved per consumer level at engine build",
+                &[("strategy", strategy)],
+            )
+            .inc();
+        }
+        Workspace::try_new(self.accum.len(), opts.rank, opts.threads(), self.priv_rows)
+            .map_err(over_budget(opts.memory_budget))
+    }
+}
+
+/// The CSF engine's preparation decision (paper §IV-B/C, Algorithm 9),
+/// made from level profiles alone: the only structure it builds is the
+/// CSF in mode-length order, from which Algorithm 9 counts the swapped
+/// order's fibers.
+pub(crate) struct CsfPlan {
+    /// The CSF in mode-length order.
+    pub(crate) base_csf: Csf,
+    /// Level profile of the chosen order.
+    pub(crate) profile: LevelProfile,
+    /// The chosen order, save set and predictions, after the budget fit.
+    pub(crate) plan: MemoPlan,
+    accum: Accumulation,
+}
+
+impl CsfPlan {
+    /// Plans the CSF engine for `coo` (already checked), counting
+    /// Algorithm 9's swap on `exec`.
+    pub(crate) fn new(
+        coo: &CooTensor,
+        opts: &StefOptions,
+        exec: &dyn Fanout,
+    ) -> Result<Self, crate::StefError> {
+        let d = coo.ndim();
+        let base_csf = build_csf(coo, &sort_modes_by_length(coo.dims()));
+        let base = LevelProfile::from_csf(&base_csf, opts.rank, opts.cache_bytes);
+        let swapped = || {
+            LevelProfile::swapped_from_csf_on(exec, &base_csf, opts.rank, opts.cache_bytes)
+                .expect("no cancel token is installed before preparation ends")
+        };
+
+        // --- order decision (§II-E + §IV-B) ---
+        let (swap, profile, predicted_other_order) = match opts.mode_switch {
+            ModeSwitchPolicy::Never => (false, base, f64::NAN),
+            ModeSwitchPolicy::Always => (true, swapped(), f64::NAN),
+            policy => {
+                let swapped = swapped();
+                let model = choose_plan(&base, &swapped);
+                let swap = model.swap_last_two != (policy == ModeSwitchPolicy::OppositeOfModel);
+                // The best traffic of the order not taken.
+                let other = if swap == model.swap_last_two {
+                    model.predicted_other_order
+                } else {
+                    model.predicted
+                };
+                (swap, if swap { swapped } else { base }, other)
+            }
+        };
+
+        // --- memoization decision (§IV-A) on the chosen order ---
+        let memoizable = |l: usize| (1..d - 1).contains(&l);
+        let save: Vec<bool> = match &opts.memo {
+            MemoPolicy::DataMovementModel => best_memo_set(&profile).0,
+            MemoPolicy::SaveAll => (0..d).map(memoizable).collect(),
+            MemoPolicy::SaveNone => vec![false; d],
+            MemoPolicy::OpCountModel => op_count_memo_set(&profile),
+            MemoPolicy::Fixed(flags) => (0..d)
+                .map(|l| memoizable(l) && flags.get(l).copied().unwrap_or(false))
+                .collect(),
+        };
+
+        // --- accumulation per consumer level, then the budget fit ---
+        let fixed = Workspace::fixed_bytes(d, opts.rank, opts.threads());
+        let accum = Accumulation::plan(&profile, 1, save, fixed, opts)?;
+        let plan = MemoPlan {
+            swap_last_two: swap,
+            save: accum.save.clone(),
+            predicted: profile.total_traffic(&accum.save),
+            predicted_other_order,
+        };
+        Ok(CsfPlan {
+            base_csf,
+            profile,
+            plan,
+            accum,
+        })
     }
 }
 
@@ -255,228 +451,38 @@ impl Stef {
     /// Fallible [`Stef::prepare`]: rejects invalid input with a typed
     /// [`crate::error::StefError`] instead of panicking.
     pub fn try_prepare(coo: &CooTensor, opts: StefOptions) -> Result<Self, crate::StefError> {
-        use crate::error::StefError;
-        if opts.rank < 1 {
-            return Err(StefError::Input("rank must be positive".into()));
-        }
-        if coo.nnz() == 0 {
-            return Err(StefError::Input("empty tensors are not supported".into()));
-        }
-        if coo.ndim() < 2 {
-            return Err(StefError::Input(format!(
-                "need at least 2 modes, got {}",
-                coo.ndim()
-            )));
-        }
-        if !crate::recover::slice_is_finite(coo.values()) {
-            return Err(StefError::Input(
-                "tensor contains non-finite values".into(),
-            ));
-        }
-        // Select the SIMD kernel path for the process. `Auto` keeps any
-        // earlier explicit selection; `Force` pins one for A/B runs.
-        linalg::simd::apply(opts.simd);
-        let d = coo.ndim();
-        let nthreads = opts.threads();
-        let base_order = sort_modes_by_length(coo.dims());
-        let base_csf = build_csf(coo, &base_order);
-        // The pool exists before planning so the swap count runs on it;
-        // the cancel token is installed once preparation is done.
-        let exec = Executor::with_numa(opts.workers(), opts.numa);
-        let swapped_profile = || {
-            LevelProfile::swapped_from_csf_on(&exec, &base_csf, opts.rank, opts.cache_bytes)
-                .expect("the pool has no cancel token before preparation ends")
-        };
+        let exec = prepare_input(coo, &opts)?;
+        let plan = CsfPlan::new(coo, &opts, &exec)?;
+        Stef::build(coo, opts, plan, exec)
+    }
 
-        // --- order decision (§II-E + §IV-B) ---
-        let base_profile = LevelProfile::from_csf(&base_csf, opts.rank, opts.cache_bytes);
-        let (swap, model_plan) = match opts.mode_switch {
-            ModeSwitchPolicy::Never => {
-                let (save, predicted) = best_memo_set(&base_profile);
-                (
-                    false,
-                    MemoPlan {
-                        swap_last_two: false,
-                        save,
-                        predicted,
-                        predicted_other_order: f64::NAN,
-                    },
-                )
-            }
-            ModeSwitchPolicy::Always => {
-                let swapped = swapped_profile();
-                let (save, predicted) = best_memo_set(&swapped);
-                (
-                    true,
-                    MemoPlan {
-                        swap_last_two: true,
-                        save,
-                        predicted,
-                        predicted_other_order: f64::NAN,
-                    },
-                )
-            }
-            ModeSwitchPolicy::ModelChosen | ModeSwitchPolicy::OppositeOfModel => {
-                let swapped = swapped_profile();
-                let plan = choose_plan(&base_profile, &swapped);
-                let mut swap = plan.swap_last_two;
-                if opts.mode_switch == ModeSwitchPolicy::OppositeOfModel {
-                    swap = !swap;
-                }
-                if swap == plan.swap_last_two {
-                    (swap, plan)
-                } else {
-                    // Re-derive the save set for the order we actually use.
-                    let profile = if swap { &swapped } else { &base_profile };
-                    let (save, predicted) = best_memo_set(profile);
-                    (
-                        swap,
-                        MemoPlan {
-                            swap_last_two: swap,
-                            save,
-                            predicted,
-                            predicted_other_order: plan.predicted,
-                        },
-                    )
-                }
-            }
-        };
-
-        // Rebuild in the swapped order if chosen.
-        let (csf, profile) = if swap {
-            let mut order = base_order.clone();
-            let n = order.len();
-            order.swap(n - 1, n - 2);
-            let csf = build_csf(coo, &order);
-            let profile = LevelProfile::from_csf(&csf, opts.rank, opts.cache_bytes);
-            (csf, profile)
+    /// Builds what `planned` decided, on `exec`: the CSF in the chosen
+    /// order (rebuilt only when the plan swaps the last two levels), the
+    /// schedule, the partial store and the workspace.
+    fn build(
+        coo: &CooTensor,
+        opts: StefOptions,
+        planned: CsfPlan,
+        exec: Executor,
+    ) -> Result<Self, crate::StefError> {
+        let (d, nthreads) = (coo.ndim(), opts.threads());
+        let (plan, profile, accum) = (planned.plan, planned.profile, planned.accum);
+        let csf = if plan.swap_last_two {
+            let mut order = planned.base_csf.mode_order().to_vec();
+            order.swap(d - 1, d - 2);
+            drop(planned.base_csf);
+            build_csf(coo, &order)
         } else {
-            (base_csf, base_profile)
+            planned.base_csf
         };
-
-        // --- memoization decision (§IV-A) ---
-        let save = match &opts.memo {
-            MemoPolicy::DataMovementModel => model_plan.save.clone(),
-            MemoPolicy::SaveAll => {
-                let mut s = vec![false; d];
-                if d >= 3 {
-                    for l in 1..=d - 2 {
-                        s[l] = true;
-                    }
-                }
-                s
-            }
-            MemoPolicy::SaveNone => vec![false; d],
-            MemoPolicy::OpCountModel => op_count_memo_set(&profile),
-            MemoPolicy::Fixed(flags) => {
-                let mut s = vec![false; d];
-                if d >= 3 {
-                    for l in 1..=d - 2 {
-                        s[l] = flags.get(l).copied().unwrap_or(false);
-                    }
-                }
-                s
-            }
-        };
-
-        // --- accumulation decision (one per consumer level) ---
-        let mut accum_by_level: Vec<ResolvedAccum> = (0..d)
-            .map(|level| {
-                if level == 0 {
-                    // Root rows are thread-owned; no strategy applies.
-                    return ResolvedAccum::Privatized;
-                }
-                match opts.accum {
-                    AccumStrategy::Privatized => ResolvedAccum::Privatized,
-                    AccumStrategy::Atomic => ResolvedAccum::Atomic,
-                    AccumStrategy::Auto => {
-                        let bytes = nthreads
-                            * csf.level_dims()[level]
-                            * opts.rank
-                            * std::mem::size_of::<f64>();
-                        if bytes > opts.privatize_cap_bytes {
-                            // Hard memory cap regardless of the model.
-                            ResolvedAccum::Atomic
-                        } else if prefer_privatized(&profile, level, nthreads) {
-                            ResolvedAccum::Privatized
-                        } else {
-                            ResolvedAccum::Atomic
-                        }
-                    }
-                }
-            })
-            .collect();
-        for accum in accum_by_level.iter().skip(1) {
-            let strategy = match accum {
-                ResolvedAccum::Privatized => "privatized",
-                ResolvedAccum::Atomic => "atomic",
-            };
-            crate::metrics::counter(
-                "stef_accum_resolved_total",
-                "Accumulation strategies resolved per consumer level at engine build",
-                &[("strategy", strategy)],
-            )
-            .inc();
-        }
-
-        // --- memory-budget fit (degrade, don't die) ---
-        let fixed = Workspace::fixed_bytes(d, opts.rank, nthreads);
-        let privatized: Vec<bool> = accum_by_level
-            .iter()
-            .enumerate()
-            .map(|(l, &a)| l > 0 && a == ResolvedAccum::Privatized)
-            .collect();
-        let fit = fit_memory_budget(
-            &profile,
-            save,
-            privatized,
-            nthreads,
-            fixed,
-            opts.memory_budget,
-        )
-        .map_err(|required| StefError::BudgetExceeded {
-            required,
-            budget: opts.memory_budget,
-        })?;
-        let save = fit.save;
-        for (l, a) in accum_by_level.iter_mut().enumerate().skip(1) {
-            if !fit.privatized[l] && *a == ResolvedAccum::Privatized {
-                *a = ResolvedAccum::Atomic;
-            }
-        }
-        let degradations = fit.events;
-
-        let plan = MemoPlan {
-            swap_last_two: swap,
-            save: save.clone(),
-            predicted: profile.total_traffic(&save),
-            predicted_other_order: model_plan.predicted_other_order,
-        };
-        let predicted_by_level = profile.traffic_by_level(&save);
-
         let sched = Schedule::build(&csf, nthreads, opts.load_balance);
-        let partials = if save.iter().any(|&s| s) {
-            PartialStore::try_allocate(&csf, &save, nthreads, opts.rank).map_err(|required| {
-                StefError::BudgetExceeded {
-                    required,
-                    budget: opts.memory_budget,
-                }
-            })?
+        let partials = if plan.save.iter().any(|&s| s) {
+            PartialStore::try_allocate(&csf, &plan.save, nthreads, opts.rank)
+                .map_err(over_budget(opts.memory_budget))?
         } else {
             PartialStore::empty(d, nthreads, opts.rank)
         };
-        let level_of_mode = inverse_permutation(csf.mode_order());
-        let max_priv_rows = (1..d)
-            .filter(|&l| accum_by_level[l] == ResolvedAccum::Privatized)
-            .map(|l| csf.level_dims()[l])
-            .max()
-            .unwrap_or(0);
-        let ws = Workspace::try_new(d, opts.rank, nthreads, max_priv_rows).map_err(|required| {
-            StefError::BudgetExceeded {
-                required,
-                budget: opts.memory_budget,
-            }
-        })?;
+        let ws = accum.workspace(&opts)?;
         if opts.cancel.is_some() {
             exec.set_cancel(opts.cancel.clone());
         }
@@ -484,20 +490,20 @@ impl Stef {
         Ok(Stef {
             sched,
             partials,
+            predicted_by_level: profile.traffic_by_level(&plan.save),
             plan,
             opts,
             dims: coo.dims().to_vec(),
-            level_of_mode,
+            level_of_mode: inverse_permutation(csf.mode_order()),
             norm_sq: coo.norm_sq(),
             partials_fresh: false,
             memo_disabled: false,
-            accum_by_level,
+            accum_by_level: accum.accum,
             ws,
             exec,
             csf,
-            degradations,
+            degradations: accum.degradations,
             last_stats: vec![None; d],
-            predicted_by_level,
         })
     }
 

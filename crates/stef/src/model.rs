@@ -395,13 +395,13 @@ pub fn partial_arena_bytes(profile: &LevelProfile, level: usize, nthreads: usize
 
 /// Bytes of the privatized-output pool for the given privatization
 /// flags — matches `Workspace`: one `max_n_u × R` block per logical
-/// thread, row-padded to 8 elements.
+/// thread, padded to 8 elements. A level that owns its rows (the CSF
+/// root) needs no pool and is passed as `false`.
 pub fn priv_pool_bytes(profile: &LevelProfile, privatized: &[bool], nthreads: usize) -> usize {
     let max_rows = profile
         .dims
         .iter()
         .zip(privatized)
-        .skip(1) // level 0 owns its rows; no pool needed
         .filter(|&(_, &p)| p)
         .map(|(&n, _)| n)
         .max()
@@ -413,7 +413,10 @@ pub fn priv_pool_bytes(profile: &LevelProfile, privatized: &[bool], nthreads: us
 /// Fits the plan into `budget` bytes by degrading it (§IV-C pricing
 /// applied in reverse): drop memoized partials largest-first, then flip
 /// privatized levels to atomic accumulation largest-first. `fixed_bytes`
-/// is the non-degradable floor (kernel scratch, traversal stacks).
+/// is the non-degradable floor (kernel scratch, traversal stacks, and
+/// for the linearized engine its format). Both engines use it: the CSF
+/// engine passes its root level as not privatized, the linearized
+/// engine an all-`false` save set.
 ///
 /// Returns the degraded plan, or `Err(required)` — the floor in bytes —
 /// when even the minimal plan (no memoization, all-atomic) exceeds the
@@ -456,7 +459,7 @@ pub fn fit_memory_budget(
         }
         // Then privatization, largest mode first (the pool is sized by
         // the largest privatized mode, so that flip shrinks it most).
-        if let Some(l) = (1..fit.privatized.len())
+        if let Some(l) = (0..fit.privatized.len())
             .filter(|&l| fit.privatized[l])
             .max_by_key(|&l| profile.dims[l])
         {
@@ -590,6 +593,20 @@ pub struct AltoProfile {
 }
 
 impl AltoProfile {
+    /// Prices the linearized layout of a tensor with these mode lengths
+    /// and non-zeros: one index element per non-zero when the
+    /// interleaved index fits 64 bits, two otherwise.
+    pub fn new(dims: &[usize], nnz: usize, rank: usize, cache_bytes: usize) -> Self {
+        let bits = sptensor::index_bits_for(dims);
+        AltoProfile {
+            dims: dims.to_vec(),
+            nnz,
+            rank,
+            cache_elems: cache_bytes / std::mem::size_of::<f64>(),
+            idx_elems: if bits <= 64 { 1 } else { 2 },
+        }
+    }
+
     /// `DM_factor` for the mode-`m` factor under `nnz` row accesses.
     fn dm_factor(&self, m: usize) -> f64 {
         let footprint = (self.dims[m] * self.rank) as f64;

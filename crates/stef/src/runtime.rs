@@ -49,8 +49,7 @@
 //! count) runs on whichever pool the caller hands it — the engine's own,
 //! in `cpd_als` and engine preparation. [`global`] is the process-wide
 //! default used by call sites that have no engine (the `sync::fanout`
-//! free function, the kernel convenience wrappers, and engines without
-//! a pool of their own).
+//! free function and engines without a pool of their own).
 
 use crate::numa::{self, NumaPolicy, NumaTopology};
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
@@ -1196,9 +1195,9 @@ pub fn resolve_workers(num_threads: usize) -> usize {
 }
 
 /// The process-wide default executor, used by call sites that have no
-/// engine: the `sync::fanout` free function, the kernel convenience
-/// wrappers, and the dense update of engines without a pool of their
-/// own (the default [`crate::MttkrpEngine::executor`]).
+/// engine: the `sync::fanout` free function and the dense update of
+/// engines without a pool of their own (the default
+/// [`crate::MttkrpEngine::executor`]).
 pub fn global() -> &'static Executor {
     static GLOBAL: OnceLock<Executor> = OnceLock::new();
     GLOBAL.get_or_init(|| Executor::new(resolve_workers(0)))

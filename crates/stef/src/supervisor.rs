@@ -18,8 +18,9 @@
 //!   recorded in the journal so a resumed batch does not forget how many
 //!   retries a job already burned.
 //! * **Admission control & shedding** — each submission is priced
-//!   up-front with the paper's §IV-C machinery (memoization plan from
-//!   [`crate::model::best_memo_set`], arena bytes from the same formulas
+//!   up-front with the paper's §IV-C machinery (the CSF engine's own
+//!   plan — order, memo set, predicted traffic — from the planner
+//!   [`crate::Stef`] prepares with, arena bytes from the same formulas
 //!   [`crate::model::fit_memory_budget`] degrades against) and admitted
 //!   only while the aggregate outstanding price fits the configured
 //!   envelope; everything else is shed *at the door* with a typed
@@ -30,17 +31,19 @@
 //! sink (`kind:"batch_job"` records) when a metrics path is configured.
 
 use crate::checkpoint::{
-    fnv64, hex_f64, parse_f64, parse_versioned_header, Checkpoint, CheckpointError,
+    fnv64, hex_f64, parse_f64, parse_versioned_header, replace_file, Checkpoint, CheckpointError,
     CheckpointPolicy, CHECKPOINT_ENDIANNESS,
 };
 use crate::cpd::{cpd_als, CheckpointHook, CpdOptions, CpdResult};
-use crate::engine::MttkrpEngine;
+use crate::engine::{check_input, CsfPlan, MttkrpEngine};
 use crate::error::StefError;
-use crate::model::{best_memo_set, partial_arena_bytes, priv_pool_bytes, LevelProfile};
+use crate::model::{partial_arena_bytes, priv_pool_bytes};
+use crate::options::StefOptions;
 use crate::runtime::CancelToken;
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
 use crate::workspace::Workspace;
-use sptensor::{build_csf, sort_modes_by_length, CooTensor};
+use linalg::par::Inline;
+use sptensor::CooTensor;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -209,52 +212,51 @@ impl std::fmt::Debug for JobHook {
 }
 
 /// A job's predicted resource price (admission-control currency).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct JobPrice {
     /// Predicted peak engine bytes: CSF + factors + kernel workspace +
-    /// memoized partial arenas + privatized-output pool, the same
+    /// the plan's memoized partial arenas + a privatized-output pool as
+    /// if every consumer level privatized (the worst case), the same
     /// formulas [`crate::model::fit_memory_budget`] degrades against.
     pub mem_bytes: u64,
     /// Predicted data movement (elements) of one full ALS sweep under
-    /// the traffic-optimal memoization plan (§IV-C model).
+    /// the plan the CSF engine would run (§IV-C model).
     pub traffic: f64,
 }
 
-/// Prices a job with the §IV-C model: builds the CSF the engine would
-/// build (longest-mode-first order), profiles it, picks the
-/// traffic-optimal memoization set, and sums the arena formulas. The
-/// CSF is dropped before returning — pricing borrows memory only
-/// transiently.
-pub fn price_job(
-    tensor: &CooTensor,
-    rank: usize,
-    nthreads: usize,
-    cache_bytes: usize,
-) -> JobPrice {
-    let order = sort_modes_by_length(tensor.dims());
-    let csf = build_csf(tensor, &order);
-    let profile = LevelProfile::from_csf(&csf, rank, cache_bytes);
-    let (save, traffic) = best_memo_set(&profile);
-    let d = tensor.dims().len();
+/// Prices a job with the §IV-C model by running the CSF engine's own
+/// planner inline: the CSF in mode-length order, Algorithm 9's swap
+/// count, and the order and memo set [`crate::Stef::try_prepare`] would
+/// choose at `nthreads` threads. `traffic` is that plan's prediction.
+/// The CSF bytes are those of the mode-length order; a swapped order
+/// differs only in its level-(d−2) fiber count. The CSF is dropped
+/// before returning — pricing borrows memory only transiently. Input
+/// every engine rejects is priced at zero: its attempt fails at build
+/// with a terminal input error.
+pub fn price_job(tensor: &CooTensor, rank: usize, nthreads: usize, cache_bytes: usize) -> JobPrice {
     let nthreads = nthreads.max(1);
+    let mut opts = StefOptions::new(rank);
+    opts.num_threads = nthreads;
+    opts.cache_bytes = cache_bytes;
+    let Ok(plan) = check_input(tensor, rank).and_then(|()| CsfPlan::new(tensor, &opts, &Inline))
+    else {
+        return JobPrice::default();
+    };
+    let profile = &plan.profile;
+    let d = profile.dims.len();
     let partials: usize = (0..d)
-        .filter(|&l| save[l])
-        .map(|l| partial_arena_bytes(&profile, l, nthreads))
+        .filter(|&l| plan.plan.save[l])
+        .map(|l| partial_arena_bytes(profile, l, nthreads))
         .sum();
-    let pool = priv_pool_bytes(&profile, &vec![true; d], nthreads);
-    let factor_bytes: usize = tensor
-        .dims()
-        .iter()
-        .map(|&n| n * rank * std::mem::size_of::<f64>())
-        .sum();
+    let consumers: Vec<bool> = (0..d).map(|l| l > 0).collect();
     let mem = Workspace::fixed_bytes(d, rank, nthreads)
         + partials
-        + pool
-        + csf.memory_bytes()
-        + factor_bytes;
+        + priv_pool_bytes(profile, &consumers, nthreads)
+        + plan.base_csf.memory_bytes()
+        + profile.factor_bytes();
     JobPrice {
         mem_bytes: mem as u64,
-        traffic,
+        traffic: plan.plan.predicted,
     }
 }
 
@@ -847,26 +849,7 @@ pub fn compact_journal_file(path: &Path) -> Result<usize, StefError> {
         .and_then(|n| n.to_str())
         .unwrap_or("journal");
     let tmp = path.with_file_name(format!("{file_name}.compact.tmp"));
-    {
-        let mut file = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(io)?;
-        file.write_all(text.as_bytes())
-            .and_then(|_| file.sync_data())
-            .map_err(io)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io)?;
-    // fsync the directory so the rename itself is durable.
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(io)?;
+    replace_file(path, &tmp, text.as_bytes()).map_err(io)?;
     Ok(dropped)
 }
 
@@ -2126,6 +2109,22 @@ mod tests {
             .collect();
         assert_eq!(done_ids.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn price_job_prices_the_plan_the_engine_runs() {
+        // freebase_music's model-chosen plan swaps the last two levels,
+        // so a price read off the mode-length order would differ.
+        let t = workloads::suite_tensor("freebase_music", workloads::SuiteScale::Tiny).unwrap();
+        let cache_bytes = 1 << 20;
+        let mut opts = crate::StefOptions::new(16);
+        opts.num_threads = 1;
+        opts.cache_bytes = cache_bytes;
+        let engine = crate::Stef::try_prepare(&t, opts).unwrap();
+        assert!(engine.plan().swap_last_two, "the witness must swap");
+        let price = price_job(&t, 16, 1, cache_bytes);
+        assert_eq!(price.traffic, engine.plan().predicted);
+        assert!(price.mem_bytes > 0);
     }
 
     #[test]

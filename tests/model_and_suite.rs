@@ -3,8 +3,12 @@
 //! the suite itself must keep the structural properties the evaluation
 //! depends on.
 
-use sptensor::{build_csf, sort_modes_by_length, TensorStats};
-use stef::{MemoPolicy, Stef, StefOptions};
+use sptensor::{build_csf, sort_modes_by_length, CooTensor, TensorStats};
+use stef::model::{best_memo_set, choose_plan, AltoProfile};
+use stef::{
+    build_engine, EngineChoice, LevelProfile, MemoPlan, MemoPolicy, ModeSwitchPolicy, Stef,
+    StefOptions,
+};
 use workloads::{suite_tensor, SuiteScale};
 
 fn prepared(name: &str, rank: usize) -> Stef {
@@ -157,5 +161,91 @@ fn suite_stats_are_stable_across_generations() {
         let a = TensorStats::from_coo(&suite_tensor(name, SuiteScale::Tiny).unwrap());
         let b = TensorStats::from_coo(&suite_tensor(name, SuiteScale::Tiny).unwrap());
         assert_eq!(a, b, "{name} generation not deterministic");
+    }
+}
+
+/// The plan `Stef` records, checked field by field (`predicted_other_order`
+/// is NaN when only one order is considered).
+fn assert_same_plan(got: &MemoPlan, want: &MemoPlan, what: &str) {
+    assert_eq!(got.swap_last_two, want.swap_last_two, "{what}: swap");
+    assert_eq!(got.save, want.save, "{what}: save set");
+    assert_eq!(got.predicted, want.predicted, "{what}: predicted");
+    assert!(
+        got.predicted_other_order == want.predicted_other_order
+            || (got.predicted_other_order.is_nan() && want.predicted_other_order.is_nan()),
+        "{what}: other order {} vs {}",
+        got.predicted_other_order,
+        want.predicted_other_order
+    );
+}
+
+#[test]
+fn one_planner_keeps_every_auto_and_order_decision() {
+    // The engine plans from level profiles alone. Its decisions must be
+    // the ones the built-CSF rule makes: `auto` picks ALTO iff its index
+    // fits 128 bits and its §IV-C price undercuts the CSF plan's, and
+    // each mode-switch policy keeps its order, save set and predictions.
+    let rank = 16;
+    let mut tensors: Vec<(String, CooTensor)> = workloads::paper_suite()
+        .iter()
+        .map(|spec| {
+            (
+                format!("{}@tiny", spec.name),
+                spec.generate(SuiteScale::Tiny),
+            )
+        })
+        .collect();
+    tensors.push((
+        "freebase_music@small".into(),
+        suite_tensor("freebase_music", SuiteScale::Small).unwrap(),
+    ));
+    for (name, t) in &tensors {
+        let opts = StefOptions::new(rank);
+        let csf_plan = Stef::try_prepare(t, opts.clone()).unwrap().plan().clone();
+        let bits = sptensor::index_bits_for(t.dims());
+        let alto = AltoProfile {
+            dims: t.dims().to_vec(),
+            nnz: t.nnz(),
+            rank,
+            cache_elems: opts.cache_bytes / 8,
+            idx_elems: if bits <= 64 { 1 } else { 2 },
+        };
+        let want = if bits <= 128 && alto.total_traffic() < csf_plan.predicted {
+            "alto"
+        } else {
+            "stef"
+        };
+        let mut auto = opts.clone();
+        auto.engine = EngineChoice::Auto;
+        assert_eq!(build_engine(t, auto).unwrap().name(), want, "{name}: auto");
+
+        let csf = build_csf(t, &sort_modes_by_length(t.dims()));
+        let base = LevelProfile::from_csf(&csf, rank, opts.cache_bytes);
+        let swapped = LevelProfile::swapped_from_csf(&csf, rank, opts.cache_bytes);
+        let single = |swap: bool| {
+            let (save, predicted) = best_memo_set(if swap { &swapped } else { &base });
+            MemoPlan {
+                swap_last_two: swap,
+                save,
+                predicted,
+                predicted_other_order: f64::NAN,
+            }
+        };
+        let model = choose_plan(&base, &swapped);
+        let opposite = MemoPlan {
+            predicted_other_order: model.predicted,
+            ..single(!model.swap_last_two)
+        };
+        for (policy, want) in [
+            (ModeSwitchPolicy::ModelChosen, model.clone()),
+            (ModeSwitchPolicy::Never, single(false)),
+            (ModeSwitchPolicy::Always, single(true)),
+            (ModeSwitchPolicy::OppositeOfModel, opposite),
+        ] {
+            let mut o = opts.clone();
+            o.mode_switch = policy;
+            let got = Stef::try_prepare(t, o).unwrap().plan().clone();
+            assert_same_plan(&got, &want, &format!("{name} {policy:?}"));
+        }
     }
 }

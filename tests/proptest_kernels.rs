@@ -128,6 +128,15 @@ proptest! {
         let fast = count_fibers_if_last_two_swapped(&csf);
         let brute = sptensor::swapcount::count_fibers_swapped_reference(&t, &order);
         prop_assert_eq!(fast, brute);
+        // Engines plan (accumulation, budget) on this profile before the
+        // swapped CSF exists, so it must be that CSF's profile exactly.
+        let mut swapped_order = order.clone();
+        swapped_order.swap(d - 1, d - 2);
+        let built = build_csf(&t, &swapped_order);
+        prop_assert_eq!(
+            stef::LevelProfile::swapped_from_csf(&csf, 4, 1 << 16),
+            stef::LevelProfile::from_csf(&built, 4, 1 << 16)
+        );
     }
 
     #[test]
