@@ -134,7 +134,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         checkpoint,
         resume,
         cancel: Some(token.clone()),
-        ..CpdOptions::new(rank)
     };
     match update_mode {
         "als" => {
@@ -165,7 +164,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
                 result.iterations,
                 result.converged,
                 result.total_time,
-                result.mttkrp_time
+                result.mttkrp_time()
             );
             if result.irregular_solves > 0 {
                 println!(

@@ -18,6 +18,7 @@
 use linalg::Mat;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Current on-disk format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -89,6 +90,27 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+/// Observer invoked with the checkpoint's iteration number every time
+/// the driver successfully writes a checkpoint file — both periodic
+/// saves and the on-the-way-out save of a cancelled run. The supervisor
+/// hangs its journal `checkpointed` records off this, so the journal
+/// never claims a snapshot the filesystem does not hold.
+#[derive(Clone)]
+pub struct CheckpointHook(pub Arc<dyn Fn(usize) + Send + Sync>);
+
+impl CheckpointHook {
+    /// Wraps a closure.
+    pub fn new(f: impl Fn(usize) + Send + Sync + 'static) -> Self {
+        CheckpointHook(Arc::new(f))
+    }
+}
+
+impl std::fmt::Debug for CheckpointHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CheckpointHook(..)")
+    }
+}
+
 /// When and where the CPD driver writes checkpoints.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
@@ -96,15 +118,27 @@ pub struct CheckpointPolicy {
     pub path: PathBuf,
     /// Write after every `every` completed iterations (0 disables).
     pub every: usize,
+    /// Called after every successful write (see [`CheckpointHook`]).
+    pub on_save: Option<CheckpointHook>,
 }
 
 impl CheckpointPolicy {
-    /// Checkpoint to `path` every `every` iterations.
+    /// Checkpoint to `path` every `every` iterations, with no hook.
     pub fn new(path: impl Into<PathBuf>, every: usize) -> Self {
         CheckpointPolicy {
             path: path.into(),
             every,
+            on_save: None,
         }
+    }
+
+    /// Writes `cp` to the policy's path, then tells the hook.
+    pub(crate) fn save(&self, cp: &Checkpoint) -> Result<(), CheckpointError> {
+        cp.save(&self.path)?;
+        if let Some(hook) = &self.on_save {
+            (hook.0)(cp.iteration);
+        }
+        Ok(())
     }
 }
 

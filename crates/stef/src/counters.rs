@@ -16,7 +16,6 @@
 //! pins the model implementation to the traversal it claims to describe,
 //! which is the strongest check available short of hardware counters.
 
-use crate::model::RawTraffic;
 use sptensor::Csf;
 
 pub use crate::runtime::{RuntimeCounters, WorkerCounters};
@@ -31,16 +30,6 @@ pub struct CountedTraffic {
     /// Per-level `(reads, writes)` for each mode's MTTKRP, in level
     /// order (index 0 = the root/mode-0 pass).
     pub per_mode: Vec<(f64, f64)>,
-}
-
-impl CountedTraffic {
-    /// Collapses into the model's [`RawTraffic`] shape.
-    pub fn as_raw(&self) -> RawTraffic {
-        RawTraffic {
-            reads: self.reads,
-            writes: self.writes,
-        }
-    }
 }
 
 /// Traffic of the mode-0 (root) saving pass alone: full traversal

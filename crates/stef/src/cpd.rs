@@ -24,39 +24,22 @@
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, CHECKPOINT_VERSION};
 use crate::engine::MttkrpEngine;
 use crate::error::StefError;
+use crate::flight::{self, FlightEvent};
+use crate::metrics::{self, Histogram};
 use crate::model::DegradationEvent;
-use crate::recover::{mat_is_finite, slice_is_finite, RecoveryAction, RecoveryEvents, RecoveryPolicy};
-use crate::runtime::{CancelToken, Executor};
+use crate::recover::{
+    mat_is_finite, slice_is_finite, RecoveryAction, RecoveryEvents, DIVERGENCE_WINDOW,
+    MAX_FACTOR_REINITS, MAX_RIDGE_RETRIES,
+};
+use crate::runtime::CancelToken;
 use crate::telemetry::{Collector, TelemetryReport};
 use linalg::norms::ColumnNorm;
-use linalg::par::Cancelled;
 use linalg::ops::{frob_inner, gram_on, hadamard_inplace};
+use linalg::par::Cancelled;
 use linalg::solve::SolveMethod;
 use linalg::update::{update_mode, UpdateError};
 use linalg::Mat;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Observer invoked with the checkpoint's iteration number every time
-/// the driver successfully writes a checkpoint file — both periodic
-/// saves and the on-the-way-out save of a cancelled run. The supervisor
-/// hangs its journal `checkpointed` records off this, so the journal
-/// never claims a snapshot the filesystem does not hold.
-#[derive(Clone)]
-pub struct CheckpointHook(pub Arc<dyn Fn(usize) + Send + Sync>);
-
-impl CheckpointHook {
-    /// Wraps a closure.
-    pub fn new(f: impl Fn(usize) + Send + Sync + 'static) -> Self {
-        CheckpointHook(Arc::new(f))
-    }
-}
-
-impl std::fmt::Debug for CheckpointHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CheckpointHook(..)")
-    }
-}
 
 /// CPD-ALS configuration.
 #[derive(Clone, Debug)]
@@ -69,8 +52,6 @@ pub struct CpdOptions {
     pub tol: f64,
     /// Seed for the random factor initialization.
     pub seed: u64,
-    /// Numerical-failure recovery knobs.
-    pub recovery: RecoveryPolicy,
     /// Periodic state snapshots (`None` = no checkpointing).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Resume from a previously saved snapshot instead of a fresh
@@ -82,25 +63,20 @@ pub struct CpdOptions {
     /// also configured — first writes a checkpoint of the last
     /// *completed* iteration, so the interrupted run resumes bit-exactly.
     pub cancel: Option<CancelToken>,
-    /// Called after every successful checkpoint write (see
-    /// [`CheckpointHook`]).
-    pub on_checkpoint: Option<CheckpointHook>,
 }
 
 impl CpdOptions {
-    /// Sensible defaults: 50 iterations, `1e-5` fit tolerance, recovery
-    /// enabled, no checkpointing.
+    /// Sensible defaults: 50 iterations, `1e-5` fit tolerance, no
+    /// checkpointing.
     pub fn new(rank: usize) -> Self {
         CpdOptions {
             rank,
             max_iters: 50,
             tol: 1e-5,
             seed: 42,
-            recovery: RecoveryPolicy::default(),
             checkpoint: None,
             resume: None,
             cancel: None,
-            on_checkpoint: None,
         }
     }
 }
@@ -119,15 +95,10 @@ pub struct CpdResult {
     pub iterations: usize,
     /// Whether the tolerance was met before `max_iters`.
     pub converged: bool,
-    /// Wall time spent inside MTTKRP calls.
-    pub mttkrp_time: Duration,
     /// Wall time of the whole ALS loop.
     pub total_time: Duration,
     /// Count of solves that needed a ridge or LU fallback.
     pub irregular_solves: usize,
-    /// Cumulative MTTKRP seconds per original mode index — shows where
-    /// the time goes (e.g. the slow leaf mode that motivates STeF2).
-    pub mode_seconds: Vec<f64>,
     /// Every recovery the driver performed, counted per rung.
     pub recovery: RecoveryEvents,
     /// Checkpoints written during this run.
@@ -148,6 +119,13 @@ impl CpdResult {
     /// Final fit (0 if no iteration ran).
     pub fn final_fit(&self) -> f64 {
         self.fits.last().copied().unwrap_or(0.0)
+    }
+
+    /// Wall time spent inside MTTKRP calls, recovery retries included:
+    /// the sum of the telemetry's per-mode samples.
+    pub fn mttkrp_time(&self) -> Duration {
+        let samples = self.telemetry.records.iter().flat_map(|r| &r.modes);
+        Duration::from_secs_f64(samples.map(|s| s.seconds).sum())
     }
 }
 
@@ -171,38 +149,6 @@ pub fn init_factors(dims: &[usize], rank: usize, seed: u64) -> Vec<Mat> {
         .collect()
 }
 
-/// Replaces factor `m` with a fresh deterministic initialization (a seed
-/// derived from the run seed and the reinit count, so repeated reinits
-/// differ) and resets `λ` — the FactorReinit recovery rung. The fresh
-/// factor's Gram is formed on `exec`; a cancelled pass changes nothing.
-#[allow(clippy::too_many_arguments)]
-fn reinit_factor(
-    exec: &Executor,
-    factors: &mut [Mat],
-    grams: &mut [Mat],
-    lambda: &mut [f64],
-    m: usize,
-    rank: usize,
-    base_seed: u64,
-    reinits_used: &mut usize,
-    recovery: &mut RecoveryEvents,
-    iteration: usize,
-    detail: &str,
-) -> Result<(), Cancelled> {
-    *reinits_used += 1;
-    let seed = base_seed ^ 0xA24BAED4963EE407u64.wrapping_mul(*reinits_used as u64);
-    let fresh = init_factors(&[factors[m].rows()], rank, seed)
-        .pop()
-        .expect("one factor requested");
-    grams[m] = gram_on(exec, &fresh)?;
-    factors[m] = fresh;
-    // The old λ carried scale from the discarded factor; reset and let
-    // the next mode updates renormalize.
-    lambda.fill(1.0);
-    recovery.record(iteration, Some(m), RecoveryAction::FactorReinit, detail);
-    Ok(())
-}
-
 /// Runs one MTTKRP with panic isolation: a panic that escapes the
 /// engine (e.g. a worker panic surfaced by a pool fan-out) becomes a
 /// typed [`StefError::WorkerPanic`] instead of unwinding through the
@@ -222,36 +168,58 @@ fn guarded_mttkrp<E: MttkrpEngine + ?Sized>(
         })
 }
 
-/// Builds the [`StefError::Cancelled`] for an observed cancellation,
-/// first writing the last completed iteration's state as a checkpoint
-/// when both a policy and a snapshot exist. `token` is the run's own
-/// token; a cancellation seen only by the engine's executor has none.
-fn cancel_error(
-    token: Option<&CancelToken>,
-    iteration: usize,
-    checkpoint: &Option<CheckpointPolicy>,
-    last_good: &Option<Checkpoint>,
-    hook: &Option<CheckpointHook>,
-) -> StefError {
-    let checkpoint_iteration = match (checkpoint, last_good) {
-        (Some(policy), Some(cp)) => cp.save(&policy.path).ok().map(|_| cp.iteration),
-        _ => None,
-    };
-    if let (Some(it), Some(hook)) = (checkpoint_iteration, hook) {
-        (hook.0)(it);
+/// Why a run stopped early: an observed cancellation (turned into
+/// [`StefError::Cancelled`] by [`Als::cancelled`]) or a typed error.
+enum Halt {
+    Cancelled,
+    Failed(StefError),
+}
+
+impl From<Cancelled> for Halt {
+    fn from(_: Cancelled) -> Self {
+        Halt::Cancelled
     }
-    StefError::Cancelled {
-        iteration,
-        deadline: token.is_some_and(CancelToken::deadline_expired),
-        checkpoint_iteration,
+}
+
+impl From<StefError> for Halt {
+    fn from(e: StefError) -> Self {
+        Halt::Failed(e)
     }
+}
+
+/// The state of one CPD-ALS run.
+struct Als<'a, E: ?Sized> {
+    engine: &'a mut E,
+    opts: &'a CpdOptions,
+    norm_t_sq: f64,
+    factors: Vec<Mat>,
+    grams: Vec<Mat>,
+    lambda: Vec<f64>,
+    fits: Vec<f64>,
+    /// Completed iterations, those of a resumed checkpoint included.
+    done: usize,
+    recovery: RecoveryEvents,
+    reinits_used: usize,
+    irregular_solves: usize,
+    checkpoints_written: usize,
+    /// The state after the last completed iteration, kept only when a
+    /// token and a checkpoint policy are both configured (the clone is
+    /// not free), so a cancel mid-sweep still leaves a resumable,
+    /// bit-exact snapshot behind.
+    last_good: Option<Checkpoint>,
+    telem: Collector,
+    /// Per-mode MTTKRP latency histograms, resolved before the ALS loop
+    /// (registration takes a lock and may allocate; `observe` is a few
+    /// relaxed fetch_adds, preserving the steady-state zero-alloc
+    /// invariant).
+    mode_hists: Vec<&'static Histogram>,
 }
 
 /// Runs CPD-ALS on `engine`.
 ///
-/// Numerical failures are recovered per [`CpdOptions::recovery`] or
-/// reported as a typed [`StefError`]; this function does not panic on
-/// bad numerics, singular systems, or corrupt checkpoints.
+/// Numerical failures walk the recovery ladder of [`crate::recover`] or
+/// are reported as a typed [`StefError`]; this function does not panic
+/// on bad numerics, singular systems, or corrupt checkpoints.
 pub fn cpd_als<E: MttkrpEngine + ?Sized>(
     engine: &mut E,
     opts: &CpdOptions,
@@ -275,12 +243,8 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
             "tensor squared norm must be positive and finite, got {norm_t_sq}"
         )));
     }
-    let norm_t = norm_t_sq.sqrt();
 
-    let mut recovery = RecoveryEvents::default();
-    let mut resumed_from = None;
-
-    let (mut factors, mut lambda, mut fits, start_iter) = match &opts.resume {
+    let (factors, lambda, fits, done) = match &opts.resume {
         Some(cp) => {
             if cp.dims != dims {
                 return Err(CheckpointError::Mismatch {
@@ -300,7 +264,6 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
                 }
                 .into());
             }
-            resumed_from = Some(cp.iteration);
             (
                 cp.factors.clone(),
                 cp.lambda.clone(),
@@ -315,463 +278,400 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
             0,
         ),
     };
-    // The dense update runs on the engine's pool; clone the handle so
-    // the engine stays free for `&mut` MTTKRP calls.
-    let exec = engine.executor().clone();
-    let mut grams = Vec::with_capacity(d);
-    for f in &factors {
-        let g = gram_on(&exec, f).map_err(|_| {
-            cancel_error(opts.cancel.as_ref(), start_iter + 1, &opts.checkpoint, &None, &opts.on_checkpoint)
-        })?;
-        grams.push(g);
-    }
-
-    let mut converged = false;
-    let mut irregular_solves = 0usize;
-    let mut mttkrp_time = Duration::ZERO;
-    let mut mode_seconds = vec![0.0f64; d];
-    let start = Instant::now();
-    let mut iterations = start_iter;
-    let mut checkpoints_written = 0usize;
-    let mut reinits_used = 0usize;
-    let mut consecutive_drops = 0usize;
-    let mut divergence_fallback_spent = false;
-    // Cancel-time checkpointing: snapshot the end of every completed
-    // iteration (only when both a token and a policy are configured —
-    // the clone is not free) so an interrupt mid-sweep can still leave
-    // a resumable, bit-exact snapshot behind.
-    let snapshot_for_cancel = opts.cancel.is_some() && opts.checkpoint.is_some();
-    let engine_name = engine.name();
-    let mut last_good: Option<Checkpoint> = None;
-    let mut telem = Collector::new();
-    // Per-mode MTTKRP latency histograms, resolved before the ALS loop
-    // (registration takes a lock and may allocate; the per-sweep
-    // `observe` below is a few relaxed fetch_adds, preserving the
-    // steady-state zero-alloc invariant).
-    let mode_hists: Vec<&'static crate::metrics::Histogram> = (0..d)
+    let mode_hists = (0..d)
         .map(|m| {
-            crate::metrics::histogram(
+            metrics::histogram(
                 "stef_mttkrp_seconds",
                 "Wall time of one MTTKRP pass, by target mode",
-                &[("mode", crate::metrics::mode_label(m))],
-                crate::metrics::TIME_BUCKETS,
+                &[("mode", metrics::mode_label(m))],
+                metrics::TIME_BUCKETS,
             )
         })
         .collect();
+    let mut als = Als {
+        engine,
+        opts,
+        norm_t_sq,
+        factors,
+        grams: Vec::with_capacity(d),
+        lambda,
+        fits,
+        done,
+        recovery: RecoveryEvents::default(),
+        reinits_used: 0,
+        irregular_solves: 0,
+        checkpoints_written: 0,
+        last_good: None,
+        telem: Collector::new(),
+        mode_hists,
+    };
+    let start = Instant::now();
+    let converged = match als.run(&sweep) {
+        Ok(converged) => converged,
+        Err(Halt::Failed(e)) => return Err(e),
+        Err(Halt::Cancelled) => return Err(als.cancelled()),
+    };
+    let total_time = start.elapsed();
+    let mut telemetry = als.telem.finish();
+    telemetry.engine = als.engine.name();
+    telemetry.numa_nodes = als.engine.numa_nodes().max(1);
+    Ok(CpdResult {
+        factors: als.factors,
+        lambda: als.lambda,
+        fits: als.fits,
+        iterations: als.done,
+        converged,
+        total_time,
+        irregular_solves: als.irregular_solves,
+        recovery: als.recovery,
+        checkpoints_written: als.checkpoints_written,
+        resumed_from: opts.resume.as_ref().map(|cp| cp.iteration),
+        degradations: als.engine.degradations(),
+        telemetry,
+    })
+}
 
-    for it in start_iter..opts.max_iters {
-        iterations = it + 1;
-        if let Some(token) = &opts.cancel {
-            if token.expired() {
-                return Err(cancel_error(
-                    Some(token),
-                    iterations,
-                    &opts.checkpoint,
-                    &last_good,
-                    &opts.on_checkpoint,
-                ));
-            }
+impl<E: MttkrpEngine + ?Sized> Als<'_, E> {
+    /// The ALS loop; returns whether the fit converged within `tol`.
+    fn run(&mut self, sweep: &[usize]) -> Result<bool, Halt> {
+        for f in &self.factors {
+            self.grams.push(gram_on(self.engine.executor(), f)?);
         }
-        let mut last_mttkrp: Option<(usize, Mat)> = None;
-        for &mode in &sweep {
-            let t0 = Instant::now();
-            let mut ahat = guarded_mttkrp(engine, &factors, mode, iterations)?;
-            let dt = t0.elapsed();
-            mttkrp_time += dt;
-            mode_seconds[mode] += dt.as_secs_f64();
-            mode_hists[mode].observe(dt.as_secs_f64());
-            crate::flight::record(
-                crate::flight::FlightEvent::ModeSweep,
-                mode as u64,
-                dt.as_nanos() as u64,
-            );
-            telem.record_mode(
-                mode,
-                dt.as_secs_f64(),
-                engine.last_mode_stats(mode),
-                engine.predicted_mode_traffic(mode),
-            );
-
-            if !mat_is_finite(&ahat) {
-                // Rung 3 first: a non-finite MTTKRP from finite factors
-                // points at corrupt memoized state.
-                let mut recovered = false;
-                if opts.recovery.enabled
-                    && opts.recovery.allow_engine_fallback
-                    && engine.degrade_to_unmemoized()
-                {
-                    recovery.record(
-                        iterations,
-                        Some(mode),
-                        RecoveryAction::EngineFallback,
-                        "non-finite MTTKRP output; disabled memoization and recomputed",
-                    );
-                    let t0 = Instant::now();
-                    ahat = guarded_mttkrp(engine, &factors, mode, iterations)?;
-                    let dt = t0.elapsed();
-                    mttkrp_time += dt;
-                    mode_seconds[mode] += dt.as_secs_f64();
-                    recovered = mat_is_finite(&ahat);
+        let mut consecutive_drops = 0usize;
+        let mut divergence_fallback_spent = false;
+        while self.done < self.opts.max_iters {
+            let iteration = self.done + 1;
+            self.check_cancel()?;
+            let mut last_mttkrp = None;
+            for &mode in sweep {
+                last_mttkrp = Some((mode, self.update(mode)?));
+                // Chunk-granularity cancellation inside the kernels only
+                // stops the fan-outs; the sweep observes it here, after
+                // every mode update, so a mid-sweep cancel is bounded by
+                // one MTTKRP rather than one iteration.
+                self.check_cancel()?;
+            }
+            let (last_mode, ahat) = last_mttkrp.expect("at least one mode");
+            let fit = self.fit(last_mode, &ahat);
+            if !fit.is_finite() {
+                return Err(StefError::NonFinite {
+                    iteration,
+                    mode: None,
+                    what: "fit",
                 }
-                if !recovered && opts.recovery.enabled {
-                    // Rung 2: a poisoned *input* factor makes every
-                    // engine produce non-finite output; reinit them.
-                    let poisoned: Vec<usize> = (0..d)
-                        .filter(|&m| m != mode && !mat_is_finite(&factors[m]))
-                        .collect();
-                    if !poisoned.is_empty()
-                        && reinits_used + poisoned.len() <= opts.recovery.max_factor_reinits
-                    {
-                        for &m in &poisoned {
-                            reinit_factor(
-                                &exec,
-                                &mut factors,
-                                &mut grams,
-                                &mut lambda,
-                                m,
-                                r,
-                                opts.seed,
-                                &mut reinits_used,
-                                &mut recovery,
-                                iterations,
-                                "non-finite input factor to MTTKRP",
-                            )
-                            .map_err(|_| {
-                                cancel_error(
-                                    opts.cancel.as_ref(),
-                                    iterations,
-                                    &opts.checkpoint,
-                                    &last_good,
-                                    &opts.on_checkpoint,
-                                )
-                            })?;
-                        }
-                        // Saved partials derived from the discarded
-                        // factors are stale; drop memoization.
-                        if opts.recovery.allow_engine_fallback && engine.degrade_to_unmemoized() {
-                            recovery.record(
-                                iterations,
-                                Some(mode),
-                                RecoveryAction::EngineFallback,
-                                "memoized partials stale after factor re-init",
-                            );
-                        }
-                        let t0 = Instant::now();
-                        ahat = guarded_mttkrp(engine, &factors, mode, iterations)?;
-                        let dt = t0.elapsed();
-                        mttkrp_time += dt;
-                        mode_seconds[mode] += dt.as_secs_f64();
-                        mode_hists[mode].observe(dt.as_secs_f64());
-                        telem.record_mode(
-                            mode,
-                            dt.as_secs_f64(),
-                            engine.last_mode_stats(mode),
-                            engine.predicted_mode_traffic(mode),
-                        );
-                        recovered = mat_is_finite(&ahat);
-                    }
-                }
-                if !recovered {
-                    return Err(StefError::NonFinite {
-                        iteration: iterations,
-                        mode: Some(mode),
-                        what: "MTTKRP output",
-                    });
-                }
+                .into());
             }
 
-            // V = Hadamard of all Grams except `mode`.
-            let build_v = |grams: &[Mat]| {
-                let mut v = Mat::from_fn(r, r, |_, _| 1.0);
-                for (m, g) in grams.iter().enumerate() {
-                    if m != mode {
-                        hadamard_inplace(&mut v, g);
-                    }
-                }
-                v
-            };
-            let mut v = build_v(&grams);
-            if !mat_is_finite(&v) {
-                let poisoned: Vec<usize> = (0..d)
-                    .filter(|&m| m != mode && !mat_is_finite(&grams[m]))
-                    .collect();
-                if opts.recovery.enabled
-                    && !poisoned.is_empty()
-                    && reinits_used + poisoned.len() <= opts.recovery.max_factor_reinits
-                {
-                    for &m in &poisoned {
-                        reinit_factor(
-                            &exec,
-                            &mut factors,
-                            &mut grams,
-                            &mut lambda,
-                            m,
-                            r,
-                            opts.seed,
-                            &mut reinits_used,
-                            &mut recovery,
-                            iterations,
-                            "non-finite Gram matrix",
-                        )
-                        .map_err(|_| {
-                            cancel_error(
-                                opts.cancel.as_ref(),
-                                iterations,
-                                &opts.checkpoint,
-                                &last_good,
-                                &opts.on_checkpoint,
-                            )
-                        })?;
-                    }
-                    if opts.recovery.allow_engine_fallback && engine.degrade_to_unmemoized() {
-                        recovery.record(
-                            iterations,
-                            Some(mode),
-                            RecoveryAction::EngineFallback,
-                            "memoized partials stale after factor re-init",
-                        );
-                    }
-                    v = build_v(&grams);
-                }
-                if !mat_is_finite(&v) {
-                    return Err(StefError::NonFinite {
-                        iteration: iterations,
-                        mode: Some(mode),
-                        what: "Gram system",
-                    });
-                }
-            }
-
-            let norm_kind = if it == 0 {
-                ColumnNorm::Two
-            } else {
-                ColumnNorm::MaxClamped
-            };
-            // Solve straight into the factor's buffer, normalize into λ
-            // and form the new Gram: two passes on the engine's pool. A
-            // pass cut short by the pool's cancel token leaves a partial
-            // factor, which only the error path below ever sees.
-            // Rung 1 of the recovery ladder: on a failed solve, retry
-            // with escalating extra ridge scaled to the system's
-            // diagonal magnitude; each retry re-reads the MTTKRP output.
-            let diag_mean = (0..r).map(|i| v[(i, i)].abs()).sum::<f64>() / r as f64;
-            let scale = if diag_mean > 0.0 { diag_mean } else { 1.0 };
-            let mut retry = 0;
-            let mut ridge = 0.0;
-            let updated = loop {
-                match update_mode(&exec, &v, &ahat, ridge, norm_kind, &mut factors[mode], &mut lambda) {
-                    Ok(u) => {
-                        if retry > 0 || u.method != SolveMethod::Cholesky {
-                            irregular_solves += 1;
-                        }
-                        break u;
-                    }
-                    Err(UpdateError::Cancelled) => {
-                        return Err(cancel_error(
-                            opts.cancel.as_ref(),
-                            iterations,
-                            &opts.checkpoint,
-                            &last_good,
-                            &opts.on_checkpoint,
-                        ))
-                    }
-                    Err(UpdateError::Solve(e)) => {
-                        if !opts.recovery.enabled || retry == opts.recovery.max_ridge_retries {
-                            return Err(StefError::Solve {
-                                iteration: iterations,
-                                mode,
-                                source: e,
-                            });
-                        }
-                        retry += 1;
-                        ridge = scale * 1e-8 * 100f64.powi(retry as i32);
-                        recovery.record(
-                            iterations,
-                            Some(mode),
-                            RecoveryAction::RidgeRetry,
-                            format!("solve failed ({e}); retrying with ridge {ridge:.3e}"),
-                        );
-                    }
-                }
-            };
-            grams[mode] = updated.gram;
-            last_mttkrp = Some((mode, ahat));
-
-            // Chunk-granularity cancellation inside the kernels only
-            // stops the fan-outs; the sweep observes it here, after
-            // every mode update, so a mid-sweep cancel is bounded by
-            // one MTTKRP rather than one iteration.
-            if let Some(token) = &opts.cancel {
-                if token.expired() {
-                    return Err(cancel_error(
-                        Some(token),
-                        iterations,
-                        &opts.checkpoint,
-                        &last_good,
-                        &opts.on_checkpoint,
-                    ));
-                }
-            }
-        }
-
-        // Fit via the last mode's MTTKRP result.
-        let (last_mode, ahat) = last_mttkrp.expect("at least one mode");
-        let inner: f64 = {
-            // Σ_r λ_r Σ_i Ā[i,r]·A[i,r]
-            let mut per_col = vec![0.0; r];
-            let a = &factors[last_mode];
-            for i in 0..a.rows() {
-                let (arow, hrow) = (a.row(i), ahat.row(i));
-                for ((p, &x), &y) in per_col.iter_mut().zip(arow).zip(hrow) {
-                    *p += x * y;
-                }
-            }
-            per_col.iter().zip(&lambda).map(|(&p, &l)| p * l).sum()
-        };
-        let norm_model_sq: f64 = {
-            let mut had = Mat::from_fn(r, r, |_, _| 1.0);
-            for g in &grams {
-                hadamard_inplace(&mut had, g);
-            }
-            let ll = Mat::from_fn(r, r, |i, j| lambda[i] * lambda[j]);
-            frob_inner(&had, &ll)
-        };
-        let resid_sq = (norm_t_sq + norm_model_sq - 2.0 * inner).max(0.0);
-        let fit = 1.0 - resid_sq.sqrt() / norm_t;
-        if !fit.is_finite() {
-            return Err(StefError::NonFinite {
-                iteration: iterations,
-                mode: None,
-                what: "fit",
-            });
-        }
-
-        // Divergence watch: exact ALS never decreases the fit, so a
-        // sustained drop is always a numerical symptom.
-        let prev = fits.last().copied();
-        if let Some(p) = prev {
-            if fit < p - 1e-9 {
-                consecutive_drops += 1;
-            } else {
-                consecutive_drops = 0;
-            }
-            if opts.recovery.divergence_window > 0
-                && consecutive_drops >= opts.recovery.divergence_window
-            {
-                recovery.record(
-                    iterations,
-                    None,
-                    RecoveryAction::DivergenceAlarm,
-                    format!("fit fell {consecutive_drops} consecutive iterations"),
-                );
-                let mut handled = false;
-                if opts.recovery.enabled
-                    && opts.recovery.allow_engine_fallback
-                    && !divergence_fallback_spent
-                {
-                    divergence_fallback_spent = true;
-                    if engine.degrade_to_unmemoized() {
-                        recovery.record(
-                            iterations,
-                            None,
-                            RecoveryAction::EngineFallback,
-                            "divergence; disabled memoization",
-                        );
-                        handled = true;
-                    }
-                }
-                if handled {
-                    consecutive_drops = 0;
+            // Divergence watch: exact ALS never decreases the fit, so a
+            // sustained drop is always a numerical symptom. The engine
+            // fallback answers it once; the next alarm is an error.
+            let prev = self.fits.last().copied();
+            if let Some(p) = prev {
+                consecutive_drops = if fit < p - 1e-9 {
+                    consecutive_drops + 1
                 } else {
-                    return Err(StefError::Diverged {
-                        iteration: iterations,
-                        drops: consecutive_drops,
-                        last_fit: fit,
-                    });
-                }
-            }
-        }
-        fits.push(fit);
-        telem.end_iteration(iterations, fit, engine.telemetry_alloc_events());
-        crate::flight::record(
-            crate::flight::FlightEvent::IterDone,
-            iterations as u64,
-            fit.to_bits(),
-        );
-
-        if let Some(policy) = &opts.checkpoint {
-            if policy.every > 0 && iterations % policy.every == 0 {
-                let cp = Checkpoint {
-                    version: CHECKPOINT_VERSION,
-                    iteration: iterations,
-                    seed: opts.seed,
-                    rank: r,
-                    dims: dims.clone(),
-                    engine: engine.name(),
-                    lambda: lambda.clone(),
-                    fits: fits.clone(),
-                    factors: factors.clone(),
+                    0
                 };
-                cp.save(&policy.path)?;
-                checkpoints_written += 1;
-                if let Some(hook) = &opts.on_checkpoint {
-                    (hook.0)(iterations);
+                if consecutive_drops >= DIVERGENCE_WINDOW {
+                    self.recovery.record(
+                        iteration,
+                        None,
+                        RecoveryAction::DivergenceAlarm,
+                        format!("fit fell {consecutive_drops} consecutive iterations"),
+                    );
+                    if std::mem::replace(&mut divergence_fallback_spent, true)
+                        || !self.fall_back(None, "divergence; disabled memoization")
+                    {
+                        return Err(StefError::Diverged {
+                            iteration,
+                            drops: consecutive_drops,
+                            last_fit: fit,
+                        }
+                        .into());
+                    }
+                    consecutive_drops = 0;
                 }
+            }
+            self.fits.push(fit);
+            self.telem
+                .end_iteration(iteration, fit, self.engine.telemetry_alloc_events());
+            flight::record(FlightEvent::IterDone, iteration as u64, fit.to_bits());
+            self.done = iteration;
+            self.save_state()?;
+            if prev.is_some_and(|p| (fit - p).abs() < self.opts.tol) {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// One mode's update: MTTKRP, the Hadamard of the other Grams, the
+    /// solve normalized into `λ`, and the new Gram, each step walking
+    /// its rung of the recovery ladder when it fails. Returns the
+    /// MTTKRP output (the fit reuses the last mode's).
+    fn update(&mut self, mode: usize) -> Result<Mat, Halt> {
+        let iteration = self.done + 1;
+        let mut ahat = self.timed_mttkrp(mode)?;
+        if !mat_is_finite(&ahat) {
+            // Rung 3: the input factors are finite (a solved factor is
+            // finite and then divided by column norms at least as large
+            // as its entries; a re-init or a resumed checkpoint is
+            // finite), so a non-finite MTTKRP points at corrupt
+            // memoized state.
+            let retried = self.fall_back(
+                Some(mode),
+                "non-finite MTTKRP output; disabled memoization and recomputed",
+            );
+            if retried {
+                ahat = self.timed_mttkrp(mode)?;
+            }
+            if !retried || !mat_is_finite(&ahat) {
+                return Err(StefError::NonFinite {
+                    iteration,
+                    mode: Some(mode),
+                    what: "MTTKRP output",
+                }
+                .into());
             }
         }
 
-        if snapshot_for_cancel {
-            last_good = Some(Checkpoint {
-                version: CHECKPOINT_VERSION,
-                iteration: iterations,
-                seed: opts.seed,
-                rank: r,
-                dims: dims.clone(),
-                engine: engine_name.clone(),
-                lambda: lambda.clone(),
-                fits: fits.clone(),
-                factors: factors.clone(),
-            });
+        let mut v = self.hadamard(Some(mode));
+        if !mat_is_finite(&v) {
+            // Rung 2: a finite factor whose Gram overflows (only a
+            // resumed checkpoint can hold one) is re-initialized.
+            let poisoned: Vec<usize> = (0..self.grams.len())
+                .filter(|&m| m != mode && !mat_is_finite(&self.grams[m]))
+                .collect();
+            if !poisoned.is_empty() && self.reinits_used + poisoned.len() <= MAX_FACTOR_REINITS {
+                for &m in &poisoned {
+                    self.reinit(m)?;
+                }
+                // Saved partials derived from the discarded factors are
+                // stale; drop memoization.
+                self.fall_back(Some(mode), "memoized partials stale after factor re-init");
+                v = self.hadamard(Some(mode));
+            }
+            if !mat_is_finite(&v) {
+                return Err(StefError::NonFinite {
+                    iteration,
+                    mode: Some(mode),
+                    what: "Gram system",
+                }
+                .into());
+            }
         }
 
-        if let Some(p) = prev {
-            if (fit - p).abs() < opts.tol {
-                converged = true;
-                break;
+        // Solve straight into the factor's buffer, normalize into λ and
+        // form the new Gram: two passes on the engine's pool. A pass cut
+        // short by the pool's cancel token leaves a partial factor,
+        // which only the error path ever sees.
+        // Rung 1: on a failed solve, retry with escalating extra ridge
+        // scaled to the system's diagonal magnitude.
+        let norm = if self.done == 0 {
+            ColumnNorm::Two
+        } else {
+            ColumnNorm::MaxClamped
+        };
+        let r = v.rows();
+        let diag_mean = (0..r).map(|i| v[(i, i)].abs()).sum::<f64>() / r as f64;
+        let scale = if diag_mean > 0.0 { diag_mean } else { 1.0 };
+        let mut retry = 0;
+        let mut ridge = 0.0;
+        loop {
+            match update_mode(
+                self.engine.executor(),
+                &v,
+                &ahat,
+                ridge,
+                norm,
+                &mut self.factors[mode],
+                &mut self.lambda,
+            ) {
+                Ok(u) => {
+                    if retry > 0 || u.method != SolveMethod::Cholesky {
+                        self.irregular_solves += 1;
+                    }
+                    self.grams[mode] = u.gram;
+                    return Ok(ahat);
+                }
+                Err(UpdateError::Cancelled) => return Err(Halt::Cancelled),
+                Err(UpdateError::Solve(source)) if retry == MAX_RIDGE_RETRIES => {
+                    return Err(StefError::Solve {
+                        iteration,
+                        mode,
+                        source,
+                    }
+                    .into())
+                }
+                Err(UpdateError::Solve(e)) => {
+                    retry += 1;
+                    ridge = scale * 1e-8 * 100f64.powi(retry as i32);
+                    self.recovery.record(
+                        iteration,
+                        Some(mode),
+                        RecoveryAction::RidgeRetry,
+                        format!("solve failed ({e}); retrying with ridge {ridge:.3e}"),
+                    );
+                }
             }
         }
     }
 
-    Ok(CpdResult {
-        factors,
-        lambda,
-        fits,
-        iterations,
-        converged,
-        mttkrp_time,
-        total_time: start.elapsed(),
-        irregular_solves,
-        mode_seconds,
-        recovery,
-        checkpoints_written,
-        resumed_from,
-        degradations: engine.degradations(),
-        telemetry: {
-            let mut report = telem.finish();
-            report.engine = engine.name();
-            report.numa_nodes = engine.numa_nodes().max(1);
-            report
-        },
-    })
+    /// Runs one MTTKRP and records it in the telemetry, the mode's
+    /// `stef_mttkrp_seconds` histogram and the flight ring. Every MTTKRP
+    /// of the run, recovery retries included, goes through here.
+    fn timed_mttkrp(&mut self, mode: usize) -> Result<Mat, StefError> {
+        let t0 = Instant::now();
+        let ahat = guarded_mttkrp(&mut *self.engine, &self.factors, mode, self.done + 1)?;
+        let dt = t0.elapsed();
+        self.mode_hists[mode].observe(dt.as_secs_f64());
+        flight::record(FlightEvent::ModeSweep, mode as u64, dt.as_nanos() as u64);
+        self.telem.record_mode(
+            mode,
+            dt.as_secs_f64(),
+            self.engine.last_mode_stats(mode),
+            self.engine.predicted_mode_traffic(mode),
+        );
+        Ok(ahat)
+    }
+
+    /// The engine-fallback rung: drops the engine's memoization and
+    /// records it. Returns whether the engine changed (so a retry is
+    /// worthwhile).
+    fn fall_back(&mut self, mode: Option<usize>, detail: &str) -> bool {
+        let degraded = self.engine.degrade_to_unmemoized();
+        if degraded {
+            let action = RecoveryAction::EngineFallback;
+            self.recovery.record(self.done + 1, mode, action, detail);
+        }
+        degraded
+    }
+
+    /// The factor re-init rung: replaces factor `m` with a fresh
+    /// deterministic initialization (a seed derived from the run seed
+    /// and the re-init count, so repeated re-inits differ) and resets
+    /// `λ`. The fresh factor's Gram is formed on the engine's pool; a
+    /// cancelled pass changes nothing.
+    fn reinit(&mut self, m: usize) -> Result<(), Cancelled> {
+        self.reinits_used += 1;
+        let seed = self.opts.seed ^ 0xA24BAED4963EE407u64.wrapping_mul(self.reinits_used as u64);
+        let fresh = init_factors(&[self.factors[m].rows()], self.opts.rank, seed)
+            .pop()
+            .expect("one factor requested");
+        self.grams[m] = gram_on(self.engine.executor(), &fresh)?;
+        self.factors[m] = fresh;
+        // The old λ carried scale from the discarded factor; reset and
+        // let the next mode updates renormalize.
+        self.lambda.fill(1.0);
+        let action = RecoveryAction::FactorReinit;
+        self.recovery
+            .record(self.done + 1, Some(m), action, "non-finite Gram matrix");
+        Ok(())
+    }
+
+    /// The Hadamard product of every Gram except `skip`'s: `V` of mode
+    /// `skip`, or with `None` the product behind the model's norm.
+    fn hadamard(&self, skip: Option<usize>) -> Mat {
+        let r = self.opts.rank;
+        let mut v = Mat::from_fn(r, r, |_, _| 1.0);
+        for (m, g) in self.grams.iter().enumerate() {
+            if Some(m) != skip {
+                hadamard_inplace(&mut v, g);
+            }
+        }
+        v
+    }
+
+    /// `1 − ‖T − [[λ; A…]]‖ / ‖T‖`, with `⟨T, model⟩` taken from the
+    /// last mode's MTTKRP output `ahat`.
+    fn fit(&self, last_mode: usize, ahat: &Mat) -> f64 {
+        let r = self.opts.rank;
+        // Σ_r λ_r Σ_i Ā[i,r]·A[i,r]
+        let mut per_col = vec![0.0; r];
+        let a = &self.factors[last_mode];
+        for i in 0..a.rows() {
+            let (arow, hrow) = (a.row(i), ahat.row(i));
+            for ((p, &x), &y) in per_col.iter_mut().zip(arow).zip(hrow) {
+                *p += x * y;
+            }
+        }
+        let inner: f64 = per_col.iter().zip(&self.lambda).map(|(&p, &l)| p * l).sum();
+        let ll = Mat::from_fn(r, r, |i, j| self.lambda[i] * self.lambda[j]);
+        let norm_model_sq = frob_inner(&self.hadamard(None), &ll);
+        let resid_sq = (self.norm_t_sq + norm_model_sq - 2.0 * inner).max(0.0);
+        1.0 - resid_sq.sqrt() / self.norm_t_sq.sqrt()
+    }
+
+    fn check_cancel(&self) -> Result<(), Halt> {
+        match &self.opts.cancel {
+            Some(token) if token.expired() => Err(Halt::Cancelled),
+            _ => Ok(()),
+        }
+    }
+
+    /// After a completed iteration: writes the periodic checkpoint when
+    /// one is due and keeps the snapshot a cancellation would write.
+    fn save_state(&mut self) -> Result<(), StefError> {
+        let opts = self.opts;
+        let due = opts
+            .checkpoint
+            .as_ref()
+            .filter(|p| p.every > 0 && self.done.is_multiple_of(p.every));
+        let keep = opts.cancel.is_some() && opts.checkpoint.is_some();
+        if due.is_none() && !keep {
+            return Ok(());
+        }
+        let cp = Checkpoint {
+            version: CHECKPOINT_VERSION,
+            iteration: self.done,
+            seed: opts.seed,
+            rank: opts.rank,
+            dims: self.engine.dims().to_vec(),
+            engine: self.engine.name(),
+            lambda: self.lambda.clone(),
+            fits: self.fits.clone(),
+            factors: self.factors.clone(),
+        };
+        if let Some(policy) = due {
+            policy.save(&cp)?;
+            self.checkpoints_written += 1;
+        }
+        if keep {
+            self.last_good = Some(cp);
+        }
+        Ok(())
+    }
+
+    /// The [`StefError::Cancelled`] for an observed cancellation, first
+    /// writing the last completed iteration's state as a checkpoint
+    /// when both a policy and a snapshot exist. A cancellation seen only
+    /// by the engine's executor has no run token, so no deadline.
+    fn cancelled(&self) -> StefError {
+        let checkpoint_iteration = match (&self.opts.checkpoint, &self.last_good) {
+            (Some(policy), Some(cp)) => policy.save(cp).ok().map(|_| cp.iteration),
+            _ => None,
+        };
+        StefError::Cancelled {
+            iteration: self.done + 1,
+            deadline: self
+                .opts
+                .cancel
+                .as_ref()
+                .is_some_and(CancelToken::deadline_expired),
+            checkpoint_iteration,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointHook;
     use crate::engine::{ReferenceEngine, Stef};
     use crate::fault::{Fault, FaultyEngine};
     use crate::options::StefOptions;
     use sptensor::CooTensor;
+    use std::sync::Arc;
 
     fn pseudo_tensor(dims: &[usize], nnz: usize, seed: u64) -> CooTensor {
         let mut t = CooTensor::new(dims.to_vec());
@@ -895,19 +795,8 @@ mod tests {
         let t = pseudo_tensor(&[8, 8, 8], 150, 3);
         let mut engine = ReferenceEngine::new(t);
         let result = cpd_als(&mut engine, &CpdOptions::new(3)).expect("healthy run");
-        assert!(result.total_time >= result.mttkrp_time);
+        assert!(result.total_time >= result.mttkrp_time());
         assert_eq!(result.fits.len(), result.iterations);
-    }
-
-    #[test]
-    fn mode_seconds_cover_all_modes() {
-        let t = pseudo_tensor(&[8, 8, 8], 150, 5);
-        let mut engine = ReferenceEngine::new(t);
-        let result = cpd_als(&mut engine, &CpdOptions::new(3)).expect("healthy run");
-        assert_eq!(result.mode_seconds.len(), 3);
-        assert!(result.mode_seconds.iter().all(|&s| s >= 0.0));
-        let sum: f64 = result.mode_seconds.iter().sum();
-        assert!((sum - result.mttkrp_time.as_secs_f64()).abs() < 0.05 * sum.max(1e-6) + 1e-4);
     }
 
     #[test]
@@ -1046,7 +935,7 @@ mod tests {
         // fire and the run must end in a typed divergence error.
         match cpd_als(&mut engine, &opts) {
             Err(StefError::Diverged { drops, .. }) => {
-                assert!(drops >= opts.recovery.divergence_window);
+                assert!(drops >= DIVERGENCE_WINDOW);
             }
             other => panic!("expected Diverged, got {other:?}"),
         }
@@ -1163,10 +1052,13 @@ mod tests {
             tol: 0.0,
             cancel: Some(token),
             // `every` beyond max_iters: only the cancel path writes.
-            checkpoint: Some(CheckpointPolicy::new(&path, 100)),
-            on_checkpoint: Some(CheckpointHook::new(move |_| {
-                *seen.lock().unwrap() = Some(Checkpoint::load(&hook_path).expect("checkpoint loads"));
-            })),
+            checkpoint: Some(CheckpointPolicy {
+                on_save: Some(CheckpointHook::new(move |_| {
+                    *seen.lock().unwrap() =
+                        Some(Checkpoint::load(&hook_path).expect("checkpoint loads"));
+                })),
+                ..CheckpointPolicy::new(&path, 100)
+            }),
             ..CpdOptions::new(4)
         };
         match cpd_als(&mut engine, &opts) {
@@ -1184,7 +1076,7 @@ mod tests {
         }
 
         // The checkpoint is bitwise the state after two clean iterations.
-        let cp = payload.lock().unwrap().take().expect("on_checkpoint ran");
+        let cp = payload.lock().unwrap().take().expect("on_save ran");
         let mut clean = Stef::prepare(&t, sopts);
         let reference = cpd_als(
             &mut clean,

@@ -69,14 +69,14 @@ pub mod validate;
 pub mod workspace;
 
 pub use alto::AltoEngine;
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy};
+pub use checkpoint::{Checkpoint, CheckpointError, CheckpointHook, CheckpointPolicy};
 pub use counters::{count_sweep, CountedTraffic};
-pub use cpd::{cpd_als, init_factors, CheckpointHook, CpdOptions, CpdResult};
+pub use cpd::{cpd_als, init_factors, CpdOptions, CpdResult};
 pub use engine::{build_engine, MttkrpEngine, ReferenceEngine, Stef};
 pub use numa::{NumaPolicy, NumaTopology};
 pub use error::StefError;
 pub use fault::{parse_fault_directives, Fault, FaultyEngine};
-pub use recover::{RecoveryAction, RecoveryEvent, RecoveryEvents, RecoveryPolicy};
+pub use recover::{RecoveryAction, RecoveryEvent, RecoveryEvents};
 pub use model::{stef2_leaf_gain, BudgetFit, DegradationEvent, LevelProfile, MemoPlan, RawTraffic};
 pub use nonneg::{cpd_mu_nonneg, NonnegCpdResult};
 pub use options::{
@@ -89,7 +89,7 @@ pub use runtime::{
     WorkerPlacement, WorkerPool,
 };
 pub use schedule::Schedule;
-pub use serve::{outcome_hook, ServeConfig, ServeHandle, Server};
+pub use serve::{outcome_hook, ServeConfig, Server};
 pub use snapshot::{FactorSnapshot, SnapshotStore};
 pub use stef2::Stef2;
 pub use supervisor::{

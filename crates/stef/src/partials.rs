@@ -10,7 +10,6 @@
 //! Consumers run under the same schedule and read back exactly the rows
 //! they wrote, so no reduction pass is ever needed.
 
-use crate::schedule::Schedule;
 use crate::sync::SharedRows;
 use sptensor::Csf;
 
@@ -151,32 +150,12 @@ impl PartialStore {
             buf.fill(value);
         }
     }
-
-    /// Reads the *reduced* (summed over thread replicas) row of node
-    /// `idx` at `level`. O(T·R); diagnostics and tests only — kernels
-    /// read per-thread replicas directly.
-    pub fn reduced_row(&self, level: usize, idx: usize, schedule: &Schedule) -> Vec<f64> {
-        let buf = self.bufs[level].as_ref().expect("level not memoized");
-        let mut out = vec![0.0; self.rank];
-        for th in 0..schedule.nthreads() {
-            // Only threads whose range contains the node contributed.
-            // A node contributed iff it lies inside the clamped range
-            // at this level for some parent; range bounds suffice.
-            let (lo, hi) = schedule.clamp(th, level, idx, idx + 1);
-            if lo < hi {
-                let base = (idx + th) * self.rank;
-                for (o, &v) in out.iter_mut().zip(&buf[base..base + self.rank]) {
-                    *o += v;
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
     use sptensor::{build_csf, CooTensor};
 
     fn csf3() -> Csf {

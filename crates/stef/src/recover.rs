@@ -9,56 +9,27 @@
 //!
 //! 1. **Ridge retry** — re-solve the normal equations with a larger
 //!    diagonal ridge (cheapest, fixes near-singularity);
-//! 2. **Factor re-init** — replace a non-finite factor with a fresh
-//!    deterministic initialization (loses that factor's progress only);
+//! 2. **Factor re-init** — replace a factor whose Gram overflowed with a
+//!    fresh deterministic initialization (loses that factor's progress
+//!    only);
 //! 3. **Engine fallback** — permanently disable memoization via
 //!    [`crate::engine::MttkrpEngine::degrade_to_unmemoized`] and
 //!    recompute (fixes corrupt partials at a per-iteration cost);
 //! 4. **Typed error** — if the ladder is exhausted the run ends with a
 //!    [`crate::error::StefError`], never a panic.
 //!
-//! Every rung taken is counted in [`RecoveryEvents`] and surfaced on
+//! The limits below are fixed and the ladder is always on. Every rung
+//! taken is counted in [`RecoveryEvents`] and surfaced on
 //! [`crate::cpd::CpdResult`], so silent degradation is impossible.
 
 use linalg::Mat;
 
-/// Knobs for the escalation ladder.
-#[derive(Clone, Debug)]
-pub struct RecoveryPolicy {
-    /// Master switch; `false` turns every detection into an immediate
-    /// typed error (useful in tests and for debugging root causes).
-    pub enabled: bool,
-    /// Additional ridged solve attempts after the plain solve fails.
-    pub max_ridge_retries: usize,
-    /// Total factor re-initializations allowed per run.
-    pub max_factor_reinits: usize,
-    /// Whether the driver may disable engine memoization.
-    pub allow_engine_fallback: bool,
-    /// Consecutive fit drops that count as divergence.
-    pub divergence_window: usize,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            enabled: true,
-            max_ridge_retries: 2,
-            max_factor_reinits: 2,
-            allow_engine_fallback: true,
-            divergence_window: 3,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// A policy that never recovers — every detection is a typed error.
-    pub fn disabled() -> Self {
-        RecoveryPolicy {
-            enabled: false,
-            ..RecoveryPolicy::default()
-        }
-    }
-}
+/// Extra ridged solve attempts after a plain solve fails.
+pub(crate) const MAX_RIDGE_RETRIES: usize = 2;
+/// Factor re-initializations allowed per run.
+pub(crate) const MAX_FACTOR_REINITS: usize = 2;
+/// Consecutive fit drops that count as divergence.
+pub(crate) const DIVERGENCE_WINDOW: usize = 3;
 
 /// One rung of the escalation ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +40,7 @@ pub enum RecoveryAction {
     FactorReinit,
     /// The engine dropped to its unmemoized path.
     EngineFallback,
-    /// A divergence alarm fired (fit fell `divergence_window` times).
+    /// A divergence alarm fired (fit fell [`DIVERGENCE_WINDOW`] times).
     DivergenceAlarm,
 }
 
@@ -136,16 +107,6 @@ pub fn slice_is_finite(xs: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_policy_is_permissive() {
-        let p = RecoveryPolicy::default();
-        assert!(p.enabled);
-        assert!(p.allow_engine_fallback);
-        assert!(p.max_ridge_retries >= 1);
-        assert!(p.divergence_window >= 2);
-        assert!(!RecoveryPolicy::disabled().enabled);
-    }
 
     #[test]
     fn events_count_per_action() {

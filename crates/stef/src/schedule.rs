@@ -164,12 +164,6 @@ impl Schedule {
         (s, e.max(s))
     }
 
-    /// First leaf owned by `th`.
-    #[inline]
-    pub fn leaf_start(&self, th: usize) -> usize {
-        self.start[th][self.d - 1]
-    }
-
     /// `true` if node `idx` at `level` sits on one of thread `th`'s range
     /// boundaries and may therefore be shared with a neighbouring thread.
     /// Conservative: boundary nodes are flagged even when the split is

@@ -183,9 +183,6 @@ pub struct Server {
     started: Instant,
 }
 
-/// Alias kept for the public re-export; the server *is* the handle.
-pub type ServeHandle = Server;
-
 impl Server {
     /// Binds the listening socket. The `stop` token is the drain
     /// signal: cancel it (e.g. from a SIGTERM handler) and

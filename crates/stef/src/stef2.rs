@@ -88,18 +88,6 @@ impl Stef2 {
     pub fn second_csf_bytes(&self) -> usize {
         self.csf2.memory_bytes()
     }
-
-    /// Model-predicted traffic saved per CPD iteration by routing the
-    /// leaf mode through the second CSF (positive = STeF2 should win;
-    /// see [`crate::model::stef2_leaf_gain`]).
-    pub fn predicted_leaf_gain(&self) -> f64 {
-        let opts = self.base.options();
-        let base_profile =
-            crate::model::LevelProfile::from_csf(self.base.csf(), opts.rank, opts.cache_bytes);
-        let second_profile =
-            crate::model::LevelProfile::from_csf(&self.csf2, opts.rank, opts.cache_bytes);
-        crate::model::stef2_leaf_gain(&base_profile, &second_profile)
-    }
 }
 
 impl MttkrpEngine for Stef2 {

@@ -32,9 +32,9 @@
 
 use crate::checkpoint::{
     fnv64, hex_f64, parse_f64, parse_versioned_header, replace_file, Checkpoint, CheckpointError,
-    CheckpointPolicy, CHECKPOINT_ENDIANNESS,
+    CheckpointHook, CheckpointPolicy, CHECKPOINT_ENDIANNESS,
 };
-use crate::cpd::{cpd_als, CheckpointHook, CpdOptions, CpdResult};
+use crate::cpd::{cpd_als, CpdOptions, CpdResult};
 use crate::engine::{check_input, CsfPlan, MttkrpEngine};
 use crate::error::StefError;
 use crate::model::{partial_arena_bytes, priv_pool_bytes};
@@ -1530,14 +1530,12 @@ impl Supervisor {
                     max_iters: spec.max_iters,
                     tol: spec.tol,
                     seed: spec.seed,
-                    recovery: Default::default(),
-                    checkpoint: Some(CheckpointPolicy::new(
-                        &ckpt_path,
-                        self.cfg.checkpoint_every.max(1),
-                    )),
+                    checkpoint: Some(CheckpointPolicy {
+                        on_save: Some(self.checkpoint_hook(id)),
+                        ..CheckpointPolicy::new(&ckpt_path, self.cfg.checkpoint_every.max(1))
+                    }),
                     resume,
                     cancel: Some(token.clone()),
-                    on_checkpoint: Some(self.checkpoint_hook(id)),
                 };
                 cpd_als(engine.as_mut(), &opts)
             })();

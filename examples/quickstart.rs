@@ -53,7 +53,7 @@ fn main() {
     );
     println!(
         "time: {:?} total, {:?} inside MTTKRP",
-        result.total_time, result.mttkrp_time
+        result.total_time, result.mttkrp_time()
     );
     println!("fit trajectory: {:?}", &result.fits);
     println!(

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use sptensor::{build_csf, CooTensor, Csf, TensorStats};
     pub use stef::{
         cpd_als, Checkpoint, CheckpointPolicy, CpdOptions, CpdResult, LoadBalance, MemoPolicy,
-        ModeSwitchPolicy, MttkrpEngine, RecoveryPolicy, Stef, StefError, Stef2, StefOptions,
+        ModeSwitchPolicy, MttkrpEngine, Stef, StefError, Stef2, StefOptions,
     };
     pub use workloads;
 }
