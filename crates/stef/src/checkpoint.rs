@@ -168,8 +168,17 @@ pub struct Checkpoint {
     pub factors: Vec<Mat>,
 }
 
+/// FNV-64 offset basis: the state before any byte is hashed.
+pub(crate) const FNV64_OFFSET: u64 = 0xcbf29ce484222325;
+
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    fnv64_extend(FNV64_OFFSET, bytes)
+}
+
+/// Folds `bytes` into a running FNV-64 state, so a value can be hashed
+/// in pieces without first copying them into one buffer:
+/// `fnv64_extend(fnv64_extend(FNV64_OFFSET, a), b) == fnv64(a ++ b)`.
+pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);

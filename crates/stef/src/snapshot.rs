@@ -27,15 +27,29 @@
 //! [`FactorSnapshot::top_k`]) implement the recommendation-style reads
 //! the service exposes: factor-row lookup and batched top-k scoring of
 //! one mode's rows against a row of another mode.
+//!
+//! Top-k is exact and reads only the rows that can matter. Building a
+//! snapshot also builds a `RowIndex` per mode: every row's 2-norm and
+//! the row ids sorted by norm, largest first. A query visits target rows
+//! in that order and stops at the first row whose Cauchy–Schwarz bound
+//! `‖λ∘q‖·‖t‖`, widened by a rounding slack, is strictly below the
+//! current k-th score; every later row has a norm no larger, so none can
+//! enter the answer. The best k sit in a fixed-size binary heap, so a
+//! query costs O(rows scored · log k) plus one final sort of k hits.
+//! Scores are computed exactly as the exhaustive scan computes them, and
+//! the answer is ordered by score (`f64::total_cmp`, descending), then
+//! by row id (ascending). DESIGN.md §11 gives the slack's derivation.
 
-use crate::checkpoint::fnv64;
+use crate::checkpoint::{fnv64_extend, FNV64_OFFSET};
 use crate::cpd::CpdResult;
 use crate::error::StefError;
+use crate::metrics::Counter;
 use crate::sync::lock_unpoisoned;
 use linalg::Mat;
-use std::collections::HashMap;
+use std::cmp::{Ordering as CmpOrdering, Reverse};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An immutable view of one fitted model. Built once per (re)fit and
 /// shared by `Arc`; all fields describe the same converged state, and
@@ -73,20 +87,151 @@ pub struct FactorSnapshot {
     /// time. Recomputing it on a served snapshot and comparing proves
     /// the reader did not observe a torn swap.
     pub checksum: u64,
+    /// One [`RowIndex`] per mode, shared like `factors`.
+    index: Arc<Vec<RowIndex>>,
 }
 
-/// FNV-64 over the exact f64 bit patterns of the factors and weights.
+/// Folds one value's exact bit pattern (big-endian) into an FNV-64 state.
+fn fnv_value(h: u64, v: &f64) -> u64 {
+    fnv64_extend(h, &v.to_bits().to_be_bytes())
+}
+
+/// FNV-64 over the exact f64 bit patterns (big-endian) of the factors
+/// and weights, streamed value by value.
 fn content_checksum(factors: &[Mat], lambda: &[f64]) -> u64 {
-    let mut bytes = Vec::with_capacity(lambda.len() * 8);
-    for f in factors {
-        for &v in f.as_slice() {
-            bytes.extend_from_slice(&v.to_bits().to_be_bytes());
-        }
+    factors
+        .iter()
+        .flat_map(Mat::as_slice)
+        .chain(lambda)
+        .fold(FNV64_OFFSET, fnv_value)
+}
+
+/// Stored norms never fall below this. A row whose squares underflow
+/// would otherwise get a norm too small to bound its scores; at the
+/// floor, a product of two norms (≥ 1e-288) is still far above the
+/// subnormal range, so the bound's relative slack covers every rounding.
+const NORM_FLOOR: f64 = 1e-144;
+
+/// Rounding slack of the stop bound, in units of `(R + 2)·ε`. First-order
+/// error analysis needs 2: the dot product (≤ R·ε/2), both norms
+/// (≤ (R/2 + 1)·ε/2 each) and the two products forming the bound. 4
+/// leaves a margin for the second-order terms.
+const BOUND_SLACK: f64 = 4.0;
+
+/// `sqrt(sum_sq)`, floored at [`NORM_FLOOR`]; NaN and ∞ pass through.
+fn floored_norm(sum_sq: f64) -> f64 {
+    let n = sum_sq.sqrt();
+    if n < NORM_FLOOR {
+        NORM_FLOOR
+    } else {
+        n
     }
-    for &v in lambda {
-        bytes.extend_from_slice(&v.to_bits().to_be_bytes());
+}
+
+/// `sqrt(Σ x²)`, floored at [`NORM_FLOOR`].
+fn row_norm(x: &[f64]) -> f64 {
+    floored_norm(x.iter().map(|v| v * v).sum())
+}
+
+/// The pruning index of one mode's factor: each row's 2-norm and the
+/// row ids by norm descending, ties by id (12 bytes per row). Row ids
+/// fit in `u32` because tensor coordinates are `u32`.
+#[derive(Debug)]
+struct RowIndex {
+    norms: Vec<f64>,
+    order: Vec<u32>,
+    /// Every norm is finite; otherwise queries scan the whole mode.
+    finite: bool,
+}
+
+impl RowIndex {
+    /// Indexes `factor` in the same pass that folds its values, row-major
+    /// as [`content_checksum`] reads them, into the checksum state `checksum`.
+    /// The hash is one serial chain of multiplies, so the squares for the
+    /// norms ride along at no extra cost.
+    fn build(factor: &Mat, checksum: &mut u64) -> RowIndex {
+        // A local state keeps the chain in a register.
+        let mut h = *checksum;
+        let norms: Vec<f64> = factor
+            .rows_iter()
+            .map(|(_, row)| {
+                let mut sum_sq = 0.0;
+                for v in row {
+                    sum_sq += v * v;
+                    h = fnv_value(h, v);
+                }
+                floored_norm(sum_sq)
+            })
+            .collect();
+        *checksum = h;
+        // Positive f64s order like their bit patterns, so the integer key
+        // (!norm bits, id) sorts by norm descending, then id, without an
+        // indirect lookup per comparison. (NaN keys sort anywhere; a NaN
+        // norm turns pruning off.)
+        let mut keys: Vec<u128> = norms
+            .iter()
+            .enumerate()
+            .map(|(j, n)| {
+                let id = u32::try_from(j).expect("factor rows are indexed by u32 coordinates");
+                (u128::from(!n.to_bits()) << 32) | u128::from(id)
+            })
+            .collect();
+        keys.sort_unstable();
+        let order = keys.into_iter().map(|key| key as u32).collect();
+        let finite = norms.iter().all(|n| n.is_finite());
+        RowIndex { norms, order, finite }
     }
-    fnv64(&bytes)
+}
+
+/// One scored target row. Greater is better: a higher score by
+/// `f64::total_cmp`, then a smaller row id.
+#[derive(Clone, Copy)]
+struct Hit {
+    score: f64,
+    row: usize,
+}
+
+impl Ord for Hit {
+    fn cmp(&self, other: &Hit) -> CmpOrdering {
+        self.score.total_cmp(&other.score).then(other.row.cmp(&self.row))
+    }
+}
+
+impl PartialOrd for Hit {
+    fn partial_cmp(&self, other: &Hit) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Hit {
+    fn eq(&self, other: &Hit) -> bool {
+        self.cmp(other) == CmpOrdering::Equal
+    }
+}
+
+impl Eq for Hit {}
+
+/// `/metrics` counters of the pruned scan: target rows scored, and
+/// target rows a full scan would have scored, summed over query rows.
+fn topk_counters() -> (&'static Counter, &'static Counter) {
+    static SCORED: OnceLock<&'static Counter> = OnceLock::new();
+    static TARGET: OnceLock<&'static Counter> = OnceLock::new();
+    (
+        SCORED.get_or_init(|| {
+            crate::metrics::counter(
+                "stef_topk_rows_scored_total",
+                "Target rows scored by top-k queries (the rest were pruned by their norm bound)",
+                &[],
+            )
+        }),
+        TARGET.get_or_init(|| {
+            crate::metrics::counter(
+                "stef_topk_target_rows_total",
+                "Target rows a full top-k scan would score, summed over query rows",
+                &[],
+            )
+        }),
+    )
 }
 
 impl FactorSnapshot {
@@ -101,7 +246,9 @@ impl FactorSnapshot {
     ) -> FactorSnapshot {
         let factors: Vec<Mat> = result.factors.clone();
         let lambda = result.lambda.clone();
-        let checksum = content_checksum(&factors, &lambda);
+        let mut checksum = FNV64_OFFSET;
+        let index = factors.iter().map(|f| RowIndex::build(f, &mut checksum)).collect();
+        let checksum = lambda.iter().fold(checksum, fnv_value);
         FactorSnapshot {
             model: model.into(),
             generation,
@@ -115,6 +262,7 @@ impl FactorSnapshot {
             stale: false,
             stale_reason: None,
             checksum,
+            index: Arc::new(index),
         }
     }
 
@@ -148,9 +296,15 @@ impl FactorSnapshot {
 
     /// Batched top-k scoring: for each `row` of mode `mode`, ranks every
     /// row `j` of `target_mode` by `Σ_r λ_r · A⁽ᵐ⁾[row,r] · A⁽ᵗ⁾[j,r]`
-    /// and returns the `k` best as `(j, score)`, best first. This is the
+    /// and returns the `k` best as `(j, score)`, best first: score by
+    /// `f64::total_cmp` descending, then `j` ascending. This is the
     /// recommendation query: "given user `row`, which items score
     /// highest under the fitted model".
+    ///
+    /// The answer equals an exhaustive scan's, score bits included, but
+    /// target rows are visited by norm and the scan stops once no
+    /// remaining row can reach the k-th score (see the module doc). A
+    /// non-finite weighted query or target norm scans every row.
     pub fn top_k(
         &self,
         mode: usize,
@@ -166,7 +320,10 @@ impl FactorSnapshot {
         let target = self.factors.get(target_mode).ok_or_else(|| {
             StefError::Input(format!("target mode {target_mode} out of range"))
         })?;
+        let index = &self.index[target_mode];
         let k = k.min(target.rows());
+        let slack = 1.0 + BOUND_SLACK * (self.rank as f64 + 2.0) * f64::EPSILON;
+        let (scored_total, target_total) = topk_counters();
         let mut out = Vec::with_capacity(rows.len());
         for &row in rows {
             let q = self.factor_row(mode, row)?;
@@ -176,27 +333,35 @@ impl FactorSnapshot {
                 .zip(self.lambda.iter())
                 .map(|(a, l)| a * l)
                 .collect();
-            let mut best: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
-            for (j, trow) in target.rows_iter() {
-                let score: f64 = weighted.iter().zip(trow).map(|(w, t)| w * t).sum();
-                if best.len() < k {
-                    best.push((j, score));
-                    if best.len() == k {
-                        best.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let w_norm = row_norm(&weighted);
+            let prune = index.finite && w_norm.is_finite();
+            // Min-heap of the best k so far: its root is the k-th best.
+            let mut best: BinaryHeap<Reverse<Hit>> = BinaryHeap::with_capacity(k);
+            let mut scored = 0u64;
+            let order: &[u32] = if k == 0 { &[] } else { &index.order };
+            for &j in order {
+                let j = j as usize;
+                if prune && best.len() == k {
+                    let kth = best.peek().expect("k > 0 while scanning").0.score;
+                    if w_norm * index.norms[j] * slack < kth {
+                        break;
                     }
-                } else if let Some(last) = best.last() {
-                    if score > last.1 {
-                        best.pop();
-                        let pos = best
-                            .partition_point(|&(_, s)| s >= score);
-                        best.insert(pos, (j, score));
+                }
+                let score: f64 = weighted.iter().zip(target.row(j)).map(|(w, t)| w * t).sum();
+                scored += 1;
+                let hit = Hit { score, row: j };
+                if best.len() < k {
+                    best.push(Reverse(hit));
+                } else if let Some(mut worst) = best.peek_mut() {
+                    if hit > worst.0 {
+                        *worst = Reverse(hit);
                     }
                 }
             }
-            if best.len() < k {
-                best.sort_by(|a, b| b.1.total_cmp(&a.1));
-            }
-            out.push(best);
+            scored_total.add(scored);
+            target_total.add(target.rows() as u64);
+            // Ascending `Reverse<Hit>` is best first.
+            out.push(best.into_sorted_vec().into_iter().map(|Reverse(h)| (h.row, h.score)).collect());
         }
         Ok(out)
     }
@@ -246,7 +411,7 @@ impl SnapshotStore {
     /// at. Any previous snapshot (stale or not) is replaced; readers
     /// holding it keep a consistent view until they drop their `Arc`.
     pub fn install(&self, model: &str, job_id: usize, result: &CpdResult) -> u64 {
-        // Build outside the lock: the snapshot copy + checksum is the
+        // Build outside the lock: the snapshot copy, checksum and row index are the
         // expensive part, and it must not serialize against readers.
         let mut snapshot = FactorSnapshot::from_result(model, 0, job_id, result);
         let mut models = lock_unpoisoned(&self.models);
@@ -288,6 +453,7 @@ impl SnapshotStore {
             stale: true,
             stale_reason: Some(reason.to_string()),
             checksum: old.checksum,
+            index: Arc::clone(&old.index),
         };
         cell.current = Some(Arc::new(stale));
         true
@@ -333,6 +499,34 @@ mod tests {
         opts.tol = 0.0;
         opts.seed = seed;
         cpd_als(&mut engine, &opts).unwrap()
+    }
+
+    #[test]
+    fn streamed_checksum_equals_the_byte_vector_construction() {
+        // The construction the checksum is defined by: every factor
+        // value's big-endian bits, then λ's, in one buffer, hashed once.
+        fn byte_vector_checksum(factors: &[Mat], lambda: &[f64]) -> u64 {
+            let mut bytes = Vec::new();
+            for f in factors {
+                for &v in f.as_slice() {
+                    bytes.extend_from_slice(&v.to_bits().to_be_bytes());
+                }
+            }
+            for &v in lambda {
+                bytes.extend_from_slice(&v.to_bits().to_be_bytes());
+            }
+            crate::checkpoint::fnv64(&bytes)
+        }
+        let mut r = fitted(7);
+        let odd = [f64::NAN, -0.0, f64::INFINITY, f64::MIN_POSITIVE / 8.0, -1e300];
+        for (i, v) in odd.into_iter().enumerate() {
+            r.factors[i % 3].row_mut(i)[i % 3] = v;
+        }
+        r.lambda[1] = -0.0;
+        let got = content_checksum(&r.factors, &r.lambda);
+        assert_eq!(got, byte_vector_checksum(&r.factors, &r.lambda));
+        assert_eq!(FactorSnapshot::from_result("m", 1, 0, &r).checksum, got);
+        assert_eq!(content_checksum(&[], &[]), byte_vector_checksum(&[], &[]));
     }
 
     #[test]
