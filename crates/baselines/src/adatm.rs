@@ -17,7 +17,7 @@
 
 use linalg::Mat;
 use sptensor::CooTensor;
-use stef::{LoadBalance, MemoPolicy, ModeSwitchPolicy, MttkrpEngine, Stef, StefOptions};
+use stef::{Executor, LoadBalance, MemoPolicy, ModeSwitchPolicy, MttkrpEngine, Stef, StefOptions};
 
 /// The AdaTM-like baseline.
 pub struct AdaTm {
@@ -25,15 +25,20 @@ pub struct AdaTm {
 }
 
 impl AdaTm {
-    /// Builds the engine; `nthreads = 0` means `runtime::default_threads()`.
-    pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize) -> Self {
+    /// Builds the engine on `exec`; `nthreads = 0` means
+    /// `runtime::default_threads()` logical threads.
+    ///
+    /// # Panics
+    /// Panics on invalid input (zero rank, empty tensor).
+    pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize, exec: &Executor) -> Self {
         let mut opts = StefOptions::new(rank);
         opts.num_threads = nthreads;
         opts.load_balance = LoadBalance::SliceBased;
         opts.memo = MemoPolicy::OpCountModel;
         opts.mode_switch = ModeSwitchPolicy::Never;
-        AdaTm {
-            inner: Stef::prepare(coo, opts),
+        match Stef::try_prepare_on(coo, opts, exec) {
+            Ok(inner) => AdaTm { inner },
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -67,6 +72,10 @@ impl MttkrpEngine for AdaTm {
 
     fn mttkrp(&mut self, factors: &[Mat], mode: usize) -> Mat {
         self.inner.mttkrp(factors, mode)
+    }
+
+    fn executor(&self) -> &Executor {
+        self.inner.executor()
     }
 }
 
@@ -109,7 +118,7 @@ mod tests {
     fn matches_reference_in_sweep_order() {
         for dims in [vec![12usize, 9, 10], vec![6, 8, 7, 5], vec![4, 5, 6, 4, 5]] {
             let t = pseudo_tensor(&dims, 600, 1);
-            let mut engine = AdaTm::prepare(&t, 3, 4);
+            let mut engine = AdaTm::prepare(&t, 3, 4, &Executor::new(2));
             let factors = rand_factors(&dims, 3, 2);
             for mode in engine.sweep_order() {
                 let got = engine.mttkrp(&factors, mode);
@@ -134,7 +143,7 @@ mod tests {
             t.push(&coord, 1.0);
         }
         t.sort_dedup();
-        let adatm = AdaTm::prepare(&t, 32, 2);
+        let adatm = AdaTm::prepare(&t, 32, 2, &Executor::new(2));
         assert!(
             adatm.save_flags().iter().any(|&s| s),
             "AdaTM should memoize"
@@ -145,6 +154,6 @@ mod tests {
     #[test]
     fn name_is_adatm() {
         let t = pseudo_tensor(&[6, 6, 6], 50, 3);
-        assert_eq!(AdaTm::prepare(&t, 2, 1).name(), "adatm");
+        assert_eq!(AdaTm::prepare(&t, 2, 1, &Executor::new(2)).name(), "adatm");
     }
 }

@@ -28,7 +28,7 @@
 use linalg::Mat;
 use sptensor::CooTensor;
 use stef::sync::SharedSlice;
-use stef::MttkrpEngine;
+use stef::{Executor, MttkrpEngine};
 
 /// A word type usable as a linearized index.
 trait LinWord: Copy + Send + Sync {
@@ -156,6 +156,7 @@ impl<T: LinWord> AltoStore<T> {
         rank: usize,
         nthreads: usize,
         n_out: usize,
+        exec: &Executor,
     ) -> Mat {
         let d = factors.len();
         let nnz = self.vals.len();
@@ -163,7 +164,7 @@ impl<T: LinWord> AltoStore<T> {
         let mut locals: Vec<Mat> = (0..nthreads).map(|_| Mat::zeros(n_out, rank)).collect();
         {
             let slots = SharedSlice::new(&mut locals);
-            stef::sync::fanout(nthreads, |th| {
+            exec.fanout(nthreads, |th| {
                 // SAFETY: each logical thread owns exactly its own slot.
                 let local = &mut unsafe { slots.range_mut(th, th + 1) }[0];
                 let lo = (th * chunk).min(nnz);
@@ -214,16 +215,17 @@ pub struct Alto {
     norm_sq: f64,
     store: Store,
     nnz: usize,
+    exec: Executor,
 }
 
 impl Alto {
     /// Builds the linearized representation, auto-selecting the 64-bit
-    /// or 128-bit index variant.
+    /// or 128-bit index variant; MTTKRPs fan out on `exec`.
     ///
     /// # Panics
     /// Panics if the concatenated index bits exceed 128 or the tensor is
     /// empty.
-    pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize) -> Self {
+    pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize, exec: &Executor) -> Self {
         assert!(coo.nnz() > 0, "empty tensors are not supported");
         let nthreads = if nthreads == 0 {
             stef::runtime::default_threads()
@@ -256,6 +258,7 @@ impl Alto {
             norm_sq: coo.norm_sq(),
             store,
             nnz,
+            exec: exec.clone(),
         }
     }
 
@@ -307,9 +310,13 @@ impl MttkrpEngine for Alto {
         assert_eq!(factors.len(), self.dims.len());
         let n_out = self.dims[mode];
         match &self.store {
-            Store::Narrow(s) => s.mttkrp(factors, mode, self.rank, self.nthreads, n_out),
-            Store::Wide(s) => s.mttkrp(factors, mode, self.rank, self.nthreads, n_out),
+            Store::Narrow(s) => s.mttkrp(factors, mode, self.rank, self.nthreads, n_out, &self.exec),
+            Store::Wide(s) => s.mttkrp(factors, mode, self.rank, self.nthreads, n_out, &self.exec),
         }
+    }
+
+    fn executor(&self) -> &Executor {
+        &self.exec
     }
 }
 
@@ -352,7 +359,7 @@ mod tests {
     fn encode_decode_round_trips() {
         let dims = vec![100usize, 7, 1000, 3];
         let t = pseudo_tensor(&dims, 500, 1);
-        let alto = Alto::prepare(&t, 2, 2);
+        let alto = Alto::prepare(&t, 2, 2, &Executor::new(2));
         assert!(!alto.is_wide());
         let mut dedup = t.clone();
         dedup.sort_dedup();
@@ -369,7 +376,7 @@ mod tests {
     fn matches_reference_all_modes() {
         for dims in [vec![14usize, 9, 11], vec![7, 6, 9, 5], vec![4, 5, 6, 4, 5]] {
             let t = pseudo_tensor(&dims, 600, 2);
-            let mut engine = Alto::prepare(&t, 4, 3);
+            let mut engine = Alto::prepare(&t, 4, 3, &Executor::new(2));
             let factors = rand_factors(&dims, 4, 3);
             for mode in 0..dims.len() {
                 let got = engine.mttkrp(&factors, mode);
@@ -383,7 +390,7 @@ mod tests {
         // 5 modes × 2^20 = 100 bits > 64 -> the 128-bit variant.
         let dims = vec![1 << 20, 1 << 20, 1 << 20, 1 << 20, 1 << 20];
         let t = pseudo_tensor(&dims, 300, 4);
-        let mut engine = Alto::prepare(&t, 3, 2);
+        let mut engine = Alto::prepare(&t, 3, 2, &Executor::new(2));
         assert!(engine.is_wide());
         let factors = rand_factors(&dims, 3, 5);
         for mode in 0..5 {
@@ -394,12 +401,13 @@ mod tests {
 
     #[test]
     fn wide_costs_twice_the_index_memory() {
-        let narrow = Alto::prepare(&pseudo_tensor(&[32, 32, 32], 400, 6), 2, 1);
+        let narrow = Alto::prepare(&pseudo_tensor(&[32, 32, 32], 400, 6), 2, 1, &Executor::new(2));
         assert!(!narrow.is_wide());
         let wide = Alto::prepare(
             &pseudo_tensor(&[1 << 22, 1 << 22, 1 << 22, 1 << 22], 400, 6),
             2,
             1,
+            &Executor::new(2),
         );
         assert!(wide.is_wide());
         // Per-nnz: narrow 8+8 bytes, wide 16+8.
@@ -415,15 +423,15 @@ mod tests {
         // 5 modes × 2^30 = 150 bits.
         let mut t = CooTensor::new(vec![1 << 30; 5]);
         t.push(&[0, 0, 0, 0, 0], 1.0);
-        let _ = Alto::prepare(&t, 2, 1);
+        let _ = Alto::prepare(&t, 2, 1, &Executor::new(2));
     }
 
     #[test]
     fn single_thread_matches_many_threads() {
         let t = pseudo_tensor(&[20, 20, 20], 800, 5);
         let factors = rand_factors(t.dims(), 3, 6);
-        let mut e1 = Alto::prepare(&t, 3, 1);
-        let mut e8 = Alto::prepare(&t, 3, 8);
+        let mut e1 = Alto::prepare(&t, 3, 1, &Executor::new(2));
+        let mut e8 = Alto::prepare(&t, 3, 8, &Executor::new(2));
         for mode in 0..3 {
             linalg::assert_mat_approx_eq(
                 &e1.mttkrp(&factors, mode),
@@ -441,7 +449,7 @@ mod tests {
         t.push(&[1, 2, 3], 1.5);
         t.push(&[4, 5, 6], 2.0);
         t.push(&[1, 2, 3], 0.5);
-        let mut engine = Alto::prepare(&t, 2, 1);
+        let mut engine = Alto::prepare(&t, 2, 1, &Executor::new(2));
         assert_eq!(engine.nnz(), 2);
         let mut dedup = t.clone();
         dedup.sort_dedup();
@@ -458,7 +466,7 @@ mod tests {
     #[test]
     fn linear_indices_are_sorted_and_unique() {
         let t = pseudo_tensor(&[30, 30, 30], 1000, 4);
-        let alto = Alto::prepare(&t, 2, 2);
+        let alto = Alto::prepare(&t, 2, 2, &Executor::new(2));
         match &alto.store {
             Store::Narrow(s) => assert!(s.lin.windows(2).all(|w| w[0] < w[1])),
             Store::Wide(_) => panic!("should be narrow"),

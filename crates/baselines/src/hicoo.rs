@@ -19,7 +19,7 @@
 use linalg::Mat;
 use sptensor::CooTensor;
 use stef::sync::SharedSlice;
-use stef::MttkrpEngine;
+use stef::{Executor, MttkrpEngine};
 
 /// Block edge length per mode (so a block spans `2^BLOCK_BITS` indices).
 const BLOCK_BITS: u32 = 7; // 128 — offsets fit u8 with headroom
@@ -48,11 +48,13 @@ pub struct HiCoo {
     norm_sq: f64,
     blocks: Vec<Block>,
     nnz: usize,
+    exec: Executor,
 }
 
 impl HiCoo {
-    /// Builds the block structure (sort by block id, then group).
-    pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize) -> Self {
+    /// Builds the block structure (sort by block id, then group);
+    /// MTTKRPs fan out on `exec`.
+    pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize, exec: &Executor) -> Self {
         assert!(coo.nnz() > 0, "empty tensors are not supported");
         let nthreads = if nthreads == 0 {
             stef::runtime::default_threads()
@@ -100,6 +102,7 @@ impl HiCoo {
             norm_sq: coo.norm_sq(),
             nnz: dedup.nnz(),
             blocks,
+            exec: exec.clone(),
         }
     }
 
@@ -148,7 +151,7 @@ impl MttkrpEngine for HiCoo {
         let mut locals: Vec<Mat> = (0..self.nthreads).map(|_| Mat::zeros(n_out, r)).collect();
         {
             let slots = SharedSlice::new(&mut locals);
-            stef::sync::fanout(self.nthreads, |th| {
+            self.exec.fanout(self.nthreads, |th| {
                 // SAFETY: each logical thread owns exactly its own slot.
                 let local = &mut unsafe { slots.range_mut(th, th + 1) }[0];
                 let lo = (th * chunk).min(nblocks);
@@ -179,6 +182,10 @@ impl MttkrpEngine for HiCoo {
             out.add_assign(&l);
         }
         out
+    }
+
+    fn executor(&self) -> &Executor {
+        &self.exec
     }
 }
 
@@ -222,7 +229,7 @@ mod tests {
     fn matches_reference_all_modes() {
         for dims in [vec![300usize, 200, 150], vec![90, 80, 70, 60]] {
             let t = pseudo_tensor(&dims, 800, 1);
-            let mut engine = HiCoo::prepare(&t, 3, 3);
+            let mut engine = HiCoo::prepare(&t, 3, 3, &Executor::new(2));
             let factors = rand_factors(&dims, 3, 2);
             for mode in 0..dims.len() {
                 let got = engine.mttkrp(&factors, mode);
@@ -234,7 +241,7 @@ mod tests {
     #[test]
     fn block_structure_accounts_for_every_nnz() {
         let t = pseudo_tensor(&[500, 400, 300], 2_000, 3);
-        let engine = HiCoo::prepare(&t, 2, 2);
+        let engine = HiCoo::prepare(&t, 2, 2, &Executor::new(2));
         let total: usize = engine.blocks.iter().map(|b| b.nnz()).sum();
         assert_eq!(total, t.nnz());
         assert!(engine.num_blocks() > 1);
@@ -266,9 +273,9 @@ mod tests {
             t.push(&coord, 1.0);
         }
         t.sort_dedup();
-        let before = HiCoo::prepare(&t, 2, 1).num_blocks();
+        let before = HiCoo::prepare(&t, 2, 1, &Executor::new(2)).num_blocks();
         let (reordered, _) = lexi_order(&t, 2);
-        let after = HiCoo::prepare(&reordered, 2, 1).num_blocks();
+        let after = HiCoo::prepare(&reordered, 2, 1, &Executor::new(2)).num_blocks();
         assert!(
             after < before,
             "Lexi-Order should compact blocks: {before} -> {after}"
@@ -278,7 +285,7 @@ mod tests {
     #[test]
     fn memory_is_below_plain_coo() {
         let t = pseudo_tensor(&[200, 200, 200], 5_000, 7);
-        let engine = HiCoo::prepare(&t, 2, 1);
+        let engine = HiCoo::prepare(&t, 2, 1, &Executor::new(2));
         // Plain COO: 3×4 bytes index + 8 value = 20 B/nnz.
         let coo_bytes = t.nnz() * (3 * 4 + 8);
         assert!(
@@ -292,7 +299,7 @@ mod tests {
     #[test]
     fn cpd_runs_through_hicoo() {
         let t = pseudo_tensor(&[100, 90, 80], 1_000, 9);
-        let mut engine = HiCoo::prepare(&t, 4, 2);
+        let mut engine = HiCoo::prepare(&t, 4, 2, &Executor::new(2));
         let opts = stef::CpdOptions {
             max_iters: 3,
             tol: 0.0,

@@ -48,28 +48,38 @@ pub fn all_engines(
     rank: usize,
     nthreads: usize,
 ) -> Vec<Box<dyn MttkrpEngine>> {
-    all_engines_with(coo, rank, nthreads, stef::AccumStrategy::Auto)
+    all_engines_with(coo, rank, nthreads, stef::AccumStrategy::Auto, None)
 }
 
 /// [`all_engines`] with an explicit accumulation strategy for the STeF
-/// engines (the baselines resolve conflicts their own way and ignore it).
+/// engines (the baselines resolve conflicts their own way and ignore it)
+/// and the run's cancel token. The baselines share one pool of
+/// `runtime::resolve_workers(nthreads)` workers, which carries the
+/// token once they are prepared; the STeF engines own theirs.
 pub fn all_engines_with(
     coo: &sptensor::CooTensor,
     rank: usize,
     nthreads: usize,
     accum: stef::AccumStrategy,
+    cancel: Option<stef::CancelToken>,
 ) -> Vec<Box<dyn MttkrpEngine>> {
+    let exec = &stef::Executor::new(stef::runtime::resolve_workers(nthreads));
     let mut opts = stef::StefOptions::new(rank);
     opts.num_threads = nthreads;
     opts.accum = accum;
-    vec![
-        Box::new(Splatt::prepare(coo, SplattVariant::One, rank, nthreads)),
-        Box::new(Splatt::prepare(coo, SplattVariant::Two, rank, nthreads)),
-        Box::new(Splatt::prepare(coo, SplattVariant::All, rank, nthreads)),
-        Box::new(AdaTm::prepare(coo, rank, nthreads)),
-        Box::new(Alto::prepare(coo, rank, nthreads)),
-        Box::new(TacoLike::prepare(coo, rank, nthreads)),
+    opts.cancel = cancel.clone();
+    let engines: Vec<Box<dyn MttkrpEngine>> = vec![
+        Box::new(Splatt::prepare(coo, SplattVariant::One, rank, nthreads, exec)),
+        Box::new(Splatt::prepare(coo, SplattVariant::Two, rank, nthreads, exec)),
+        Box::new(Splatt::prepare(coo, SplattVariant::All, rank, nthreads, exec)),
+        Box::new(AdaTm::prepare(coo, rank, nthreads, exec)),
+        Box::new(Alto::prepare(coo, rank, nthreads, exec)),
+        Box::new(TacoLike::prepare(coo, rank, nthreads, exec)),
         Box::new(stef::Stef::prepare(coo, opts.clone())),
         Box::new(stef::Stef2::prepare(coo, opts)),
-    ]
+    ];
+    if let Some(token) = cancel {
+        exec.set_cancel(token);
+    }
+    engines
 }

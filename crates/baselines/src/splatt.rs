@@ -18,7 +18,7 @@
 use linalg::Mat;
 use sptensor::{build_csf, inverse_permutation, sort_modes_by_length, CooTensor, Csf};
 use stef::kernels::{mode0_with, modeu_with, KernelCtx, ResolvedAccum};
-use stef::{LoadBalance, MttkrpEngine, PartialStore, Schedule, Workspace};
+use stef::{Executor, LoadBalance, MttkrpEngine, PartialStore, Schedule, Workspace};
 
 /// How many CSF representations the engine keeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,12 +63,11 @@ impl Rep {
         }
     }
 
-    fn mttkrp(&mut self, factors: &[Mat], level: usize, rank: usize) -> Mat {
+    fn mttkrp(&mut self, factors: &[Mat], level: usize, rank: usize, rt: &Executor) -> Mat {
         let order = self.csf.mode_order().to_vec();
         let level_factors: Vec<&Mat> = order.iter().map(|&m| &factors[m]).collect();
         let ctx = KernelCtx::new(&self.csf, &self.sched, level_factors, rank);
         let views = self.partials.shared_views();
-        let rt = stef::runtime::global();
         let mut out = Mat::zeros(self.csf.level_dims()[level], rank);
         if level == 0 {
             mode0_with(&ctx, &views, rt, &mut self.ws, &mut out);
@@ -89,11 +88,19 @@ pub struct Splatt {
     reps: Vec<Rep>,
     /// `route[m]` = (representation index, CSF level of mode `m` there).
     route: Vec<(usize, usize)>,
+    exec: Executor,
 }
 
 impl Splatt {
-    /// Builds the engine; `nthreads = 0` means `runtime::default_threads()`.
-    pub fn prepare(coo: &CooTensor, variant: SplattVariant, rank: usize, nthreads: usize) -> Self {
+    /// Builds the engine, fanning out on `exec`; `nthreads = 0` means
+    /// `runtime::default_threads()` logical threads.
+    pub fn prepare(
+        coo: &CooTensor,
+        variant: SplattVariant,
+        rank: usize,
+        nthreads: usize,
+        exec: &Executor,
+    ) -> Self {
         let nthreads = if nthreads == 0 {
             stef::runtime::default_threads()
         } else {
@@ -145,6 +152,7 @@ impl Splatt {
             norm_sq: coo.norm_sq(),
             reps,
             route,
+            exec: exec.clone(),
         }
     }
 
@@ -180,7 +188,11 @@ impl MttkrpEngine for Splatt {
 
     fn mttkrp(&mut self, factors: &[Mat], mode: usize) -> Mat {
         let (rep_idx, level) = self.route[mode];
-        self.reps[rep_idx].mttkrp(factors, level, self.rank)
+        self.reps[rep_idx].mttkrp(factors, level, self.rank, &self.exec)
+    }
+
+    fn executor(&self) -> &Executor {
+        &self.exec
     }
 }
 
@@ -225,7 +237,7 @@ mod tests {
             let t = pseudo_tensor(&dims, 600, 1);
             let factors = rand_factors(&dims, 4, 2);
             for variant in [SplattVariant::One, SplattVariant::Two, SplattVariant::All] {
-                let mut engine = Splatt::prepare(&t, variant, 4, 3);
+                let mut engine = Splatt::prepare(&t, variant, 4, 3, &Executor::new(2));
                 for mode in 0..dims.len() {
                     let got = engine.mttkrp(&factors, mode);
                     let expect = t.mttkrp_reference(&factors, mode);
@@ -238,9 +250,9 @@ mod tests {
     #[test]
     fn variant_memory_ordering() {
         let t = pseudo_tensor(&[20, 15, 10], 800, 3);
-        let one = Splatt::prepare(&t, SplattVariant::One, 4, 2);
-        let two = Splatt::prepare(&t, SplattVariant::Two, 4, 2);
-        let all = Splatt::prepare(&t, SplattVariant::All, 4, 2);
+        let one = Splatt::prepare(&t, SplattVariant::One, 4, 2, &Executor::new(2));
+        let two = Splatt::prepare(&t, SplattVariant::Two, 4, 2, &Executor::new(2));
+        let all = Splatt::prepare(&t, SplattVariant::All, 4, 2, &Executor::new(2));
         assert!(one.csf_bytes() < two.csf_bytes());
         assert!(two.csf_bytes() < all.csf_bytes());
     }
@@ -248,7 +260,7 @@ mod tests {
     #[test]
     fn splatt_all_routes_every_mode_to_a_root() {
         let t = pseudo_tensor(&[10, 10, 10], 300, 4);
-        let engine = Splatt::prepare(&t, SplattVariant::All, 2, 2);
+        let engine = Splatt::prepare(&t, SplattVariant::All, 2, 2, &Executor::new(2));
         for m in 0..3 {
             assert_eq!(engine.route[m].1, 0, "mode {m} must be a root-mode pass");
         }
@@ -258,15 +270,15 @@ mod tests {
     fn names_match_paper_labels() {
         let t = pseudo_tensor(&[6, 6, 6], 50, 5);
         assert_eq!(
-            Splatt::prepare(&t, SplattVariant::One, 2, 1).name(),
+            Splatt::prepare(&t, SplattVariant::One, 2, 1, &Executor::new(2)).name(),
             "splatt-1"
         );
         assert_eq!(
-            Splatt::prepare(&t, SplattVariant::Two, 2, 1).name(),
+            Splatt::prepare(&t, SplattVariant::Two, 2, 1, &Executor::new(2)).name(),
             "splatt-2"
         );
         assert_eq!(
-            Splatt::prepare(&t, SplattVariant::All, 2, 1).name(),
+            Splatt::prepare(&t, SplattVariant::All, 2, 1, &Executor::new(2)).name(),
             "splatt-all"
         );
     }

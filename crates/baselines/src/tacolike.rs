@@ -22,7 +22,7 @@ use linalg::Mat;
 use sptensor::{build_csf, sort_modes_by_length, CooTensor, Csf};
 use std::time::Instant;
 use stef::kernels::{mode0_with, KernelCtx};
-use stef::{LoadBalance, MttkrpEngine, PartialStore, Schedule, Workspace};
+use stef::{Executor, LoadBalance, MttkrpEngine, PartialStore, Schedule, Workspace};
 
 /// Task-count multipliers tried by the auto-tuner (×physical threads).
 const CHUNK_CANDIDATES: [usize; 4] = [1, 2, 4, 8];
@@ -48,11 +48,13 @@ pub struct TacoLike {
     /// Cumulative seconds spent on tuning decisions (the "small
     /// preprocessing overhead" the paper mentions).
     tuning_seconds: f64,
+    exec: Executor,
 }
 
 impl TacoLike {
-    /// Builds one representation per mode plus candidate schedules.
-    pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize) -> Self {
+    /// Builds one representation per mode plus candidate schedules;
+    /// MTTKRPs fan out on `exec`.
+    pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize, exec: &Executor) -> Self {
         let nthreads = if nthreads == 0 {
             stef::runtime::default_threads()
         } else {
@@ -93,6 +95,7 @@ impl TacoLike {
             norm_sq: coo.norm_sq(),
             reps,
             tuning_seconds: 0.0,
+            exec: exec.clone(),
         }
     }
 
@@ -106,14 +109,20 @@ impl TacoLike {
         self.reps.iter().map(|r| r.chosen).collect()
     }
 
-    fn run_candidate(rep: &mut ModeRep, cand: usize, factors: &[Mat], rank: usize) -> Mat {
+    fn run_candidate(
+        rep: &mut ModeRep,
+        cand: usize,
+        factors: &[Mat],
+        rank: usize,
+        exec: &Executor,
+    ) -> Mat {
         let order = rep.csf.mode_order().to_vec();
         let level_factors: Vec<&Mat> = order.iter().map(|&m| &factors[m]).collect();
         let (sched, partials) = &mut rep.candidates[cand];
         let ctx = KernelCtx::new(&rep.csf, sched, level_factors, rank);
         let mut out = Mat::zeros(rep.csf.level_dims()[0], rank);
         let views = partials.shared_views();
-        mode0_with(&ctx, &views, stef::runtime::global(), &mut rep.ws, &mut out);
+        mode0_with(&ctx, &views, exec, &mut rep.ws, &mut out);
         out
     }
 }
@@ -139,7 +148,7 @@ impl MttkrpEngine for TacoLike {
         let rank = self.rank;
         let rep = &mut self.reps[mode];
         if let Some(c) = rep.chosen {
-            return Self::run_candidate(rep, c, factors, rank);
+            return Self::run_candidate(rep, c, factors, rank, &self.exec);
         }
         // Tuning phase: measure the next untimed candidate; once all are
         // timed, lock in the fastest. Results are identical regardless of
@@ -151,7 +160,7 @@ impl MttkrpEngine for TacoLike {
             .position(|t| t.is_none())
             .expect("untimed candidate must exist while chosen is None");
         let t0 = Instant::now();
-        let out = Self::run_candidate(rep, cand, factors, rank);
+        let out = Self::run_candidate(rep, cand, factors, rank, &self.exec);
         let dt = t0.elapsed().as_secs_f64();
         rep.timings[cand] = Some(dt);
         self.tuning_seconds += dt;
@@ -166,6 +175,10 @@ impl MttkrpEngine for TacoLike {
             rep.chosen = Some(best);
         }
         out
+    }
+
+    fn executor(&self) -> &Executor {
+        &self.exec
     }
 }
 
@@ -208,7 +221,7 @@ mod tests {
     fn matches_reference_during_and_after_tuning() {
         let dims = vec![12usize, 9, 10];
         let t = pseudo_tensor(&dims, 600, 1);
-        let mut engine = TacoLike::prepare(&t, 3, 2);
+        let mut engine = TacoLike::prepare(&t, 3, 2, &Executor::new(2));
         let factors = rand_factors(&dims, 3, 2);
         // More calls than candidates: covers tuning and steady state.
         for round in 0..(CHUNK_CANDIDATES.len() + 2) {
@@ -225,7 +238,7 @@ mod tests {
     #[test]
     fn tuning_finishes_after_exactly_candidate_count_calls() {
         let t = pseudo_tensor(&[10, 10, 10], 300, 3);
-        let mut engine = TacoLike::prepare(&t, 2, 2);
+        let mut engine = TacoLike::prepare(&t, 2, 2, &Executor::new(2));
         let factors = rand_factors(t.dims(), 2, 4);
         for i in 0..CHUNK_CANDIDATES.len() {
             assert!(engine.chosen_chunks()[0].is_none(), "call {i}");

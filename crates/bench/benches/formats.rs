@@ -12,6 +12,7 @@ fn bench_formats(c: &mut Criterion) {
     let t = power_law_tensor(&dims, 200_000, &[0.8, 0.5, 0.3], 21);
     let order = sort_modes_by_length(t.dims());
 
+    let pool = stef::Executor::new(stef::runtime::resolve_workers(0));
     let mut group = c.benchmark_group("format_build");
     group.sample_size(10);
 
@@ -19,16 +20,16 @@ fn bench_formats(c: &mut Criterion) {
         b.iter(|| build_csf(&t, &order));
     });
     group.bench_function("alto_linearize", |b| {
-        b.iter(|| Alto::prepare(&t, 32, 0));
+        b.iter(|| Alto::prepare(&t, 32, 0, &pool));
     });
     group.bench_function("hicoo_blocks", |b| {
-        b.iter(|| baselines::HiCoo::prepare(&t, 32, 0));
+        b.iter(|| baselines::HiCoo::prepare(&t, 32, 0, &pool));
     });
     for variant in [SplattVariant::One, SplattVariant::Two, SplattVariant::All] {
         group.bench_with_input(
             BenchmarkId::new("splatt_prepare", format!("{variant:?}")),
             &variant,
-            |b, &v| b.iter(|| Splatt::prepare(&t, v, 32, 0)),
+            |b, &v| b.iter(|| Splatt::prepare(&t, v, 32, 0, &pool)),
         );
     }
     group.bench_function("stef_prepare_with_model", |b| {

@@ -7,6 +7,11 @@
 //! Deadlines need no thread at all — the token carries its own expiry
 //! and every cooperative checkpoint in the library consults it.
 //!
+//! The token reaches the library through the run, not through this
+//! module: the command hands it to the engine it builds (whose executor
+//! carries it) and to `CpdOptions::cancel`. This module only points the
+//! watchdog at it.
+//!
 //! SIGTERM rides the same ladder as SIGINT: the first signal of either
 //! kind cancels cooperatively (so a supervisor's `kill <pid>` gets the
 //! same checkpoint-and-drain behavior an interactive Ctrl-C does — this
@@ -32,7 +37,8 @@ static ESCALATE: AtomicBool = AtomicBool::new(false);
 /// use for signal deaths.
 pub const HARD_INTERRUPT_EXIT: i32 = 130;
 
-/// The token the watchdog cancels when Ctrl-C arrives.
+/// The token the watchdog cancels when Ctrl-C arrives. Process-wide
+/// because signals are: one Ctrl-C interrupts the process's run.
 static CURRENT: OnceLock<Mutex<Option<CancelToken>>> = OnceLock::new();
 
 /// One-time signal-handler + watchdog installation.
@@ -70,16 +76,14 @@ fn current() -> &'static Mutex<Option<CancelToken>> {
 }
 
 /// Guard that scopes a token as the process's interruptible run: while
-/// it lives, Ctrl-C cancels `token` (and `stef`'s global executor
-/// observes it for dense fan-outs). Dropping the guard detaches both,
-/// so later runs in the same process start clean.
+/// it lives, Ctrl-C cancels `token`. Dropping the guard detaches the
+/// watchdog, so later runs in the same process start clean.
 pub struct CancelScope {
     _private: (),
 }
 
 impl Drop for CancelScope {
     fn drop(&mut self) {
-        stef::set_global_cancel(None);
         match current().lock() {
             Ok(mut slot) => *slot = None,
             Err(poisoned) => *poisoned.into_inner() = None,
@@ -91,18 +95,14 @@ impl Drop for CancelScope {
     }
 }
 
-/// Installs `token` as the run's cancellation token: registers the
-/// SIGINT/SIGTERM handlers (once per process), points the watchdog at
-/// the token, and mirrors it onto the global executor so fan-outs on
-/// that pool (`sync::fanout`, and the dense update of engines without a
-/// pool of their own) also observe it. Returns a guard that undoes the
-/// installation on drop.
+/// Points the Ctrl-C watchdog at `token`, registering the
+/// SIGINT/SIGTERM handlers once per process. Returns a guard that
+/// detaches the watchdog on drop.
 pub fn install(token: &CancelToken) -> CancelScope {
     match current().lock() {
         Ok(mut slot) => *slot = Some(token.clone()),
         Err(poisoned) => *poisoned.into_inner() = Some(token.clone()),
     }
-    stef::set_global_cancel(Some(token.clone()));
     INSTALL.call_once(|| {
         unsafe {
             signal(SIGINT, on_signal);

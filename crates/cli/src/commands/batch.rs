@@ -187,7 +187,6 @@ pub(crate) fn cli_factory(threads: usize, faults: HashMap<usize, Vec<Fault>>) ->
             accum: AccumStrategy::Auto,
             memory_budget: 0,
             cancel: Some(token.clone()),
-            simd: stef::SimdPolicy::Auto,
             numa: stef::NumaPolicy::from_env(),
         };
         let engine = engine_by_name(&spec.engine, tensor, &cfg)

@@ -44,7 +44,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 
     let factors = init_factors(t.dims(), rank, 7);
     let mut results: Vec<(String, f64, f64)> = Vec::new();
-    for (done, mut engine) in baselines::all_engines_with(&t, rank, threads, accum)
+    for (done, mut engine) in baselines::all_engines_with(&t, rank, threads, accum, Some(token.clone()))
         .into_iter()
         .enumerate()
     {

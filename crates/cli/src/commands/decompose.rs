@@ -61,7 +61,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     let engine_name = p.str_or("engine", "stef");
     let update_mode = p.str_or("mode", "als");
     let accum = accum_by_name(p.str_or("accum", "auto")).map_err(CliError::Usage)?;
-    let simd = apply_simd_flag(p.str_or("simd", "auto")).map_err(CliError::Usage)?;
+    apply_simd_flag(p.str_or("simd", "auto")).map_err(CliError::Usage)?;
     // No flag → honor STEF_NUMA (defaults to auto).
     let numa = match p.opt_str("numa") {
         Some(name) => numa_by_name(name).map_err(CliError::Usage)?,
@@ -97,9 +97,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     let metrics_out = p.opt_str("metrics-out").map(String::from);
     let trace_out = p.opt_str("trace-out").map(String::from);
     let verbose = p.flag("verbose");
-    // Span capture must be armed before the engine (and its worker
-    // pool) dispatches anything we want on the trace.
-    stef::telemetry::set_trace_enabled(trace_out.is_some());
 
     let (label, t) = load(tensor_spec, SuiteScale::Small).map_err(CliError::Input)?;
     println!(
@@ -122,10 +119,12 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         accum,
         memory_budget,
         cancel: Some(token.clone()),
-        simd,
         numa,
     };
     let mut engine = engine_by_name(engine_name, &t, &cfg)?;
+    // Span capture is armed on the built engine's pool, so the trace
+    // covers the ALS run, not preparation.
+    engine.executor().set_tracing(trace_out.is_some());
     let opts = CpdOptions {
         rank,
         max_iters: iters,
@@ -191,7 +190,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
                 );
             }
             if let Some(path) = &trace_out {
-                stef::telemetry::set_trace_enabled(false);
                 let body = stef::telemetry::render_chrome_trace(&result.telemetry.spans);
                 std::fs::write(path, body)
                     .map_err(|e| CliError::Input(format!("cannot write '{path}': {e}")))?;
@@ -500,6 +498,40 @@ mod tests {
             ]))
             .unwrap();
         }
+    }
+
+    /// An expired `--timeout` run next to a live run, on the baselines
+    /// that once fanned out on a shared process pool: each run's token
+    /// lives on its own engine's pool, so the live run never sees the
+    /// other run's expired deadline.
+    #[test]
+    fn concurrent_expired_and_live_runs_keep_their_own_tokens() {
+        let dir = std::env::temp_dir().join(format!("stef-cli-cancel-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("expired.ckpt");
+        let ckpt = ckpt.to_str().unwrap();
+        for round in 0..4 {
+            for engine in ["splatt-all", "alto-baseline", "adatm"] {
+                let run = |extra: &[&str]| {
+                    let mut args = vec!["suite:nips:tiny", "--rank", "3", "--tol", "0", "--engine", engine];
+                    args.extend_from_slice(extra);
+                    super::run(&argv(&args))
+                };
+                let (expired, live) = std::thread::scope(|s| {
+                    let expired = s.spawn(|| {
+                        run(&["--iters", "50", "--timeout", "0.000001", "--checkpoint", ckpt])
+                    });
+                    let live = s.spawn(|| run(&["--iters", "3"]));
+                    (expired.join().unwrap(), live.join().unwrap())
+                });
+                if let Err(e) = live {
+                    panic!("round {round}, {engine}: the live run failed: {e}");
+                }
+                let err = expired.expect_err("an expired deadline must cancel the run");
+                assert_eq!(err.exit_code(), 6, "round {round}, {engine}: {err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

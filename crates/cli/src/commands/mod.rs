@@ -11,7 +11,7 @@ pub mod top;
 pub mod validate;
 
 use crate::error::CliError;
-use stef::{AccumStrategy, CancelToken, EngineChoice, MttkrpEngine, NumaPolicy, SimdPolicy};
+use stef::{AccumStrategy, CancelToken, EngineChoice, Executor, MttkrpEngine, NumaPolicy, SimdPolicy};
 
 /// Parses a `--simd` value and applies it process-wide (all engines in
 /// the process share the kernel dispatch selection). A forced path that
@@ -42,9 +42,9 @@ pub fn numa_by_name(name: &str) -> Result<NumaPolicy, String> {
     NumaPolicy::parse(name).ok_or_else(|| format!("unknown --numa '{name}' (auto|off)"))
 }
 
-/// Engine construction parameters shared by the subcommands. The
-/// budget and cancellation fields apply to the STeF engines; baselines
-/// manage their own memory and ignore them.
+/// Engine construction parameters shared by the subcommands. The budget
+/// applies to the STeF engines; baselines manage their own memory and
+/// ignore it.
 pub struct EngineConfig {
     pub rank: usize,
     pub threads: usize,
@@ -56,11 +56,7 @@ pub struct EngineConfig {
     /// Cooperative cancellation token, installed on the engine's
     /// executor so in-flight kernels observe `--timeout`/Ctrl-C.
     pub cancel: Option<CancelToken>,
-    /// SIMD kernel-path policy (`--simd`). Applied process-wide when a
-    /// STeF engine is prepared; `Auto` keeps the current selection.
-    pub simd: SimdPolicy,
-    /// NUMA worker-placement policy (`--numa`) for the STeF-owned
-    /// executors; baselines run their own pools and ignore it.
+    /// NUMA worker-placement policy (`--numa`) of the run's executor.
     pub numa: NumaPolicy,
 }
 
@@ -72,7 +68,6 @@ impl EngineConfig {
             accum: AccumStrategy::Auto,
             memory_budget: 0,
             cancel: None,
-            simd: SimdPolicy::Auto,
             numa: NumaPolicy::from_env(),
         }
     }
@@ -80,6 +75,10 @@ impl EngineConfig {
 
 /// Builds an engine by CLI name. `accum` applies to the STeF engines;
 /// baselines resolve output conflicts their own way and ignore it.
+///
+/// Every engine that fans out does so on a pool of its own, which
+/// carries the run's cancel token: the STeF engines build theirs from
+/// the options, and a baseline gets one built here.
 pub fn engine_by_name(
     name: &str,
     tensor: &sptensor::CooTensor,
@@ -91,8 +90,15 @@ pub fn engine_by_name(
     opts.accum = cfg.accum;
     opts.memory_budget = cfg.memory_budget;
     opts.cancel = cfg.cancel.clone();
-    opts.simd = cfg.simd;
     opts.numa = cfg.numa;
+    let baseline = |build: &dyn Fn(&Executor) -> Box<dyn MttkrpEngine>| {
+        let exec = Executor::with_numa(stef::runtime::resolve_workers(threads), cfg.numa);
+        let engine = build(&exec);
+        if let Some(token) = &cfg.cancel {
+            exec.set_cancel(token.clone());
+        }
+        engine
+    };
     Ok(match name {
         "stef" | "csf" => Box::new(stef::Stef::try_prepare(tensor, opts)?),
         "alto" => {
@@ -104,28 +110,18 @@ pub fn engine_by_name(
             Box::new(stef::build_engine(tensor, opts)?)
         }
         "stef2" => Box::new(stef::Stef2::try_prepare(tensor, opts)?),
-        "splatt-1" => Box::new(baselines::Splatt::prepare(
-            tensor,
-            baselines::SplattVariant::One,
-            rank,
-            threads,
-        )),
-        "splatt-2" => Box::new(baselines::Splatt::prepare(
-            tensor,
-            baselines::SplattVariant::Two,
-            rank,
-            threads,
-        )),
-        "splatt-all" => Box::new(baselines::Splatt::prepare(
-            tensor,
-            baselines::SplattVariant::All,
-            rank,
-            threads,
-        )),
-        "adatm" => Box::new(baselines::AdaTm::prepare(tensor, rank, threads)),
-        "alto-baseline" => Box::new(baselines::Alto::prepare(tensor, rank, threads)),
-        "taco" => Box::new(baselines::TacoLike::prepare(tensor, rank, threads)),
-        "hicoo" => Box::new(baselines::HiCoo::prepare(tensor, rank, threads)),
+        "splatt-1" | "splatt-2" | "splatt-all" => {
+            let variant = match name {
+                "splatt-1" => baselines::SplattVariant::One,
+                "splatt-2" => baselines::SplattVariant::Two,
+                _ => baselines::SplattVariant::All,
+            };
+            baseline(&|exec| Box::new(baselines::Splatt::prepare(tensor, variant, rank, threads, exec)))
+        }
+        "adatm" => baseline(&|exec| Box::new(baselines::AdaTm::prepare(tensor, rank, threads, exec))),
+        "alto-baseline" => baseline(&|exec| Box::new(baselines::Alto::prepare(tensor, rank, threads, exec))),
+        "taco" => baseline(&|exec| Box::new(baselines::TacoLike::prepare(tensor, rank, threads, exec))),
+        "hicoo" => baseline(&|exec| Box::new(baselines::HiCoo::prepare(tensor, rank, threads, exec))),
         "reference" => Box::new(stef::ReferenceEngine::new(tensor.clone())),
         other => {
             return Err(CliError::Usage(format!(

@@ -12,8 +12,8 @@
 //!   `is_x86_feature_detected!` / the aarch64 baseline;
 //! * the `STEF_SIMD={auto,scalar,avx2,neon}` environment variable
 //!   overrides detection at first use;
-//! * `apply(SimdPolicy::Force(..))` (reached from `StefOptions::simd`
-//!   and the CLI `--simd` flag) overrides both, falling back to the
+//! * `apply(SimdPolicy::Force(..))` (reached from the CLI `--simd`
+//!   flag) overrides both, falling back to the
 //!   detected path with a warning if the forced ISA is unavailable.
 //!
 //! The public `krp.rs` entry points read the cached selection with a
@@ -159,7 +159,9 @@ fn default_path() -> SimdPath {
     })
 }
 
-/// The process-wide selection. 0 = not yet initialized.
+/// The process-wide selection. 0 = not yet initialized. Process-wide
+/// because kernel dispatch reads it on every row primitive, with no
+/// handle to pass; `STEF_SIMD` and `--simd` are its only selectors.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// The kernel path the row primitives currently dispatch to.

@@ -98,8 +98,8 @@ impl AltoEngine {
         let fixed = Workspace::fixed_bytes(d, opts.rank, opts.threads()) + lin.memory_bytes();
         let accum = Accumulation::plan(&flat, 0, vec![false; d], fixed, &opts)?;
         let ws = accum.workspace(&opts)?;
-        if opts.cancel.is_some() {
-            exec.set_cancel(opts.cancel.clone());
+        if let Some(token) = &opts.cancel {
+            exec.set_cancel(token.clone());
         }
 
         Ok(AltoEngine {

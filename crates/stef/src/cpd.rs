@@ -33,7 +33,7 @@ use crate::recover::{
 };
 use crate::runtime::CancelToken;
 use crate::telemetry::{Collector, TelemetryReport};
-use linalg::norms::ColumnNorm;
+use linalg::norms::{normalize_columns, ColumnNorm};
 use linalg::ops::{frob_inner, gram_on, hadamard_inplace};
 use linalg::par::Cancelled;
 use linalg::solve::SolveMethod;
@@ -312,7 +312,7 @@ pub fn cpd_als<E: MttkrpEngine + ?Sized>(
         Err(Halt::Cancelled) => return Err(als.cancelled()),
     };
     let total_time = start.elapsed();
-    let mut telemetry = als.telem.finish();
+    let mut telemetry = als.telem.finish(als.engine.executor().take_spans());
     telemetry.engine = als.engine.name();
     telemetry.numa_nodes = als.engine.numa_nodes().max(1);
     Ok(CpdResult {
@@ -417,7 +417,7 @@ impl<E: MttkrpEngine + ?Sized> Als<'_, E> {
             // finite and then divided by column norms at least as large
             // as its entries; a re-init or a resumed checkpoint is
             // finite), so a non-finite MTTKRP points at corrupt
-            // memoized state.
+            // memoized state...
             let retried = self.fall_back(
                 Some(mode),
                 "non-finite MTTKRP output; disabled memoization and recomputed",
@@ -425,7 +425,12 @@ impl<E: MttkrpEngine + ?Sized> Als<'_, E> {
             if retried {
                 ahat = self.timed_mttkrp(mode)?;
             }
-            if !retried || !mat_is_finite(&ahat) {
+            // ...or at a resumed checkpoint's huge but finite factors,
+            // whose product overflowed.
+            if !mat_is_finite(&ahat) && self.fold_column_scales(mode)? {
+                ahat = self.timed_mttkrp(mode)?;
+            }
+            if !mat_is_finite(&ahat) {
                 return Err(StefError::NonFinite {
                     iteration,
                     mode: Some(mode),
@@ -545,6 +550,25 @@ impl<E: MttkrpEngine + ?Sized> Als<'_, E> {
             self.recovery.record(self.done + 1, mode, action, detail);
         }
         degraded
+    }
+
+    /// Folds the column scales of every factor but `mode`'s into `λ` by
+    /// [`ColumnNorm::MaxClamped`]'s rule (divide by `max(max|x|, 1)`,
+    /// multiply `λ`) and re-forms their Grams; the model is unchanged.
+    /// Completed iterations leave entries in [-1, 1], so only a resumed
+    /// checkpoint's factors can change. Returns whether any did.
+    fn fold_column_scales(&mut self, mode: usize) -> Result<bool, Cancelled> {
+        let mut changed = false;
+        for m in (0..self.factors.len()).filter(|&m| m != mode) {
+            let mut scales = vec![1.0; self.opts.rank];
+            normalize_columns(&mut self.factors[m], &mut scales, ColumnNorm::MaxClamped);
+            if scales.iter().any(|&s| s != 1.0) {
+                self.lambda.iter_mut().zip(scales).for_each(|(l, s)| *l *= s);
+                self.grams[m] = gram_on(self.engine.executor(), &self.factors[m])?;
+                changed = true;
+            }
+        }
+        Ok(changed)
     }
 
     /// The factor re-init rung: replaces factor `m` with a fresh

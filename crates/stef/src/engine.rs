@@ -96,10 +96,12 @@ pub trait MttkrpEngine {
     }
 
     /// The executor the CPD driver runs the dense mode update on (solve,
-    /// normalization and Gram after each MTTKRP). Engines with their own
-    /// worker pool return it, so the update honours the engine's width,
-    /// cancel token and counters; the default is the process-wide
-    /// [`crate::runtime::global`] pool.
+    /// normalization and Gram after each MTTKRP) and drains trace spans
+    /// from. Every engine that fans out returns the pool it fans out on,
+    /// so the update honours the run's width, cancel token, counters and
+    /// span capture; the default, for engines that never fan out, is the
+    /// width-only [`crate::runtime::global`] pool, which carries no run
+    /// state.
     fn executor(&self) -> &Executor {
         crate::runtime::global()
     }
@@ -153,11 +155,11 @@ impl<E: MttkrpEngine + ?Sized> MttkrpEngine for Box<E> {
 /// Builds the engine `opts.engine` selects, and only that engine.
 ///
 /// Every choice goes through one preparation path: the input is checked
-/// once, the SIMD policy applied and one [`Executor`] created, which the
-/// built engine owns. `Alto` then linearizes. `Csf` and `Auto` first
-/// plan the CSF engine from §IV-C level profiles alone: the CSF in
-/// mode-length order, Algorithm 9's swapped profile, the memo set, the
-/// accumulation and the memory-budget fit. `Auto` compares that plan's
+/// once and one [`Executor`] created, which the built engine owns.
+/// `Alto` then linearizes. `Csf` and `Auto` first plan the CSF engine
+/// from §IV-C level profiles alone: the CSF in mode-length order,
+/// Algorithm 9's swapped profile, the memo set, the accumulation and
+/// the memory-budget fit. `Auto` compares that plan's
 /// predicted traffic with [`crate::model::AltoProfile`]'s price of the
 /// linearized layout and builds whichever moves less data; when ALTO
 /// wins, no swapped CSF, schedule, partial store or CSF workspace is
@@ -216,9 +218,7 @@ fn over_budget(budget: usize) -> impl Fn(usize) -> crate::StefError {
     move |required| crate::StefError::BudgetExceeded { required, budget }
 }
 
-/// The first step of every engine's preparation: checks the input,
-/// selects the SIMD kernel path for the process (`Auto` keeps any
-/// earlier explicit selection; `Force` pins one for A/B runs), and
+/// The first step of every engine's preparation: checks the input and
 /// creates the executor the engine will own. The pool exists before
 /// planning so Algorithm 9's swap count runs on it; the engine installs
 /// the cancel token once preparation is done.
@@ -227,7 +227,6 @@ pub(crate) fn prepare_input(
     opts: &StefOptions,
 ) -> Result<Executor, crate::StefError> {
     check_input(coo, opts.rank)?;
-    linalg::simd::apply(opts.simd);
     Ok(Executor::with_numa(opts.workers(), opts.numa))
 }
 
@@ -343,7 +342,7 @@ impl CsfPlan {
         let base = LevelProfile::from_csf(&base_csf, opts.rank, opts.cache_bytes);
         let swapped = || {
             LevelProfile::swapped_from_csf_on(exec, &base_csf, opts.rank, opts.cache_bytes)
-                .expect("no cancel token is installed before preparation ends")
+                .expect("the cancel token is installed after preparation")
         };
 
         // --- order decision (§II-E + §IV-B) ---
@@ -456,6 +455,25 @@ impl Stef {
         Stef::build(coo, opts, plan, exec)
     }
 
+    /// [`Stef::try_prepare`] on a pool the caller owns, so several
+    /// engines of one run share one pool (`num_threads` then sets only
+    /// the schedule's logical threads). Install the run's cancel token
+    /// on `exec` after preparation, as the engine does with
+    /// `StefOptions::cancel`.
+    ///
+    /// # Panics
+    /// Panics if a token already on `exec` fires during Algorithm 9's
+    /// swap count.
+    pub fn try_prepare_on(
+        coo: &CooTensor,
+        opts: StefOptions,
+        exec: &Executor,
+    ) -> Result<Self, crate::StefError> {
+        check_input(coo, opts.rank)?;
+        let plan = CsfPlan::new(coo, &opts, exec)?;
+        Stef::build(coo, opts, plan, exec.clone())
+    }
+
     /// Builds what `planned` decided, on `exec`: the CSF in the chosen
     /// order (rebuilt only when the plan swaps the last two levels), the
     /// schedule, the partial store and the workspace.
@@ -483,8 +501,8 @@ impl Stef {
             PartialStore::empty(d, nthreads, opts.rank)
         };
         let ws = accum.workspace(&opts)?;
-        if opts.cancel.is_some() {
-            exec.set_cancel(opts.cancel.clone());
+        if let Some(token) = &opts.cancel {
+            exec.set_cancel(token.clone());
         }
 
         Ok(Stef {

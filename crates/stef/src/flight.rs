@@ -126,6 +126,8 @@ const SLOT_INIT: Slot = Slot {
 #[allow(clippy::declare_interior_mutable_const)]
 const RING_INIT: Ring = Ring { head: AtomicUsize::new(0), slots: [SLOT_INIT; SLOTS] };
 
+// Process-wide: a panic hook or a SIGUSR1 dump must reach every
+// thread's recent events without a handle to any run.
 static BUFFER: [Ring; RINGS] = [RING_INIT; RINGS];
 static NEXT_TID: AtomicUsize = AtomicUsize::new(0);
 static EVENTS: AtomicU64 = AtomicU64::new(0);

@@ -85,8 +85,8 @@ pub use options::{
 };
 pub use partials::PartialStore;
 pub use runtime::{
-    set_global_cancel, CancelToken, Executor, FanoutError, RuntimeCounters, WorkerCounters,
-    WorkerPlacement, WorkerPool,
+    CancelToken, Executor, FanoutError, RuntimeCounters, WorkerCounters, WorkerPlacement,
+    WorkerPool,
 };
 pub use schedule::Schedule;
 pub use serve::{outcome_hook, ServeConfig, Server};

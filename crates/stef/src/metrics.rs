@@ -80,6 +80,8 @@ pub(crate) fn status_label(status: u16) -> &'static str {
 // Registry
 // ---------------------------------------------------------------------------
 
+// Process-wide: `/metrics` and `stef top` read the one registry every
+// job in the daemon feeds.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Runtime on/off switch. Off: every increment returns after one
@@ -265,6 +267,7 @@ struct Family {
     series: Vec<Series>,
 }
 
+// Process-wide: `/metrics` and `stef top` render every job's series.
 static REGISTRY: Mutex<Vec<Family>> = Mutex::new(Vec::new());
 
 const OVERFLOW_LABELS: &[(&str, &str)] = &[("overflow", "true")];
@@ -568,6 +571,7 @@ struct DriftCell {
     warned: bool,
 }
 
+// Process-wide: the drift gauge `/metrics` exports spans every job.
 static DRIFT: Mutex<Vec<DriftCell>> = Mutex::new(Vec::new());
 
 /// Fold one finished job's measured-vs-predicted traffic for

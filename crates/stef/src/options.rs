@@ -138,13 +138,6 @@ pub struct StefOptions {
     /// Cooperative cancellation token, installed on the engine's
     /// executor at preparation so every chunk claim observes it.
     pub cancel: Option<crate::runtime::CancelToken>,
-    /// SIMD kernel-path policy, applied process-wide when the engine is
-    /// prepared. [`SimdPolicy::Auto`] (the default) keeps the current
-    /// selection — the `STEF_SIMD` env override or CPU detection at
-    /// first use; [`SimdPolicy::Force`] pins a specific ISA for A/B
-    /// benchmarking (an unavailable ISA degrades to the detected path
-    /// with a warning).
-    pub simd: linalg::simd::SimdPolicy,
     /// Engine selection: memoized CSF, linearized ALTO-style, or
     /// model-priced auto pick (only consulted by
     /// [`crate::engine::build_engine`]; constructing [`crate::Stef`] or
@@ -196,7 +189,6 @@ impl StefOptions {
             privatize_cap_bytes: 512 << 20,
             memory_budget: 0,
             cancel: None,
-            simd: linalg::simd::SimdPolicy::Auto,
             engine: EngineChoice::default(),
             numa: crate::numa::NumaPolicy::from_env(),
         }

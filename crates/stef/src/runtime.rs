@@ -3,16 +3,15 @@
 //!
 //! Every parallel region in this workspace has the same shape: run
 //! `f(th)` once for each *logical thread* `0..nthreads` of an
-//! nnz-balanced schedule, then join. The old substrate
-//! (`sync::fanout`) spawned fresh OS threads through
-//! `std::thread::scope` on every call — four call sites per MTTKRP
-//! pass, one pass per mode per ALS iteration — so a 50-iteration CPD
-//! paid hundreds of spawn/join round-trips, each with its own heap
-//! allocations, and then handed every worker a *static* contiguous
-//! block of logical threads, so one slow worker stalled the whole mode
-//! even though the logical-thread decomposition was perfectly balanced.
+//! nnz-balanced schedule, then join. Spawning fresh OS threads through
+//! `std::thread::scope` on every call would cost four call sites per
+//! MTTKRP pass, one pass per mode per ALS iteration — hundreds of
+//! spawn/join round-trips per CPD, each with its own heap allocations —
+//! and a *static* contiguous block of logical threads per worker lets
+//! one slow worker stall the whole mode even though the logical-thread
+//! decomposition is perfectly balanced.
 //!
-//! [`WorkerPool`] replaces that with workers created **once** and
+//! [`WorkerPool`] instead creates its workers **once** and keeps them
 //! parked between dispatches:
 //!
 //! * **Epoch dispatch.** A job is published as a raw function pointer
@@ -47,12 +46,19 @@
 //! [`WorkerPool`]. It also implements [`linalg::par::Fanout`], so the
 //! dense algebra (the CPD driver's mode update, the Gram, the swap
 //! count) runs on whichever pool the caller hands it — the engine's own,
-//! in `cpd_als` and engine preparation. [`global`] is the process-wide
-//! default used by call sites that have no engine (the `sync::fanout`
-//! free function and engines without a pool of their own).
+//! in `cpd_als` and engine preparation.
+//!
+//! A run's state lives on its pool, never in a process global: the
+//! cancel token (set once, when the engine is prepared) and the span
+//! capture ([`WorkerPool::set_tracing`], drained by `cpd_als` into
+//! `CpdResult::telemetry`). Concurrent runs in one process therefore
+//! never see each other's cancellation or spans. [`global`] is only the
+//! default pool of [`crate::MttkrpEngine::executor`]: no run configures
+//! it.
 
 use crate::numa::{self, NumaPolicy, NumaTopology};
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
+use crate::telemetry::TraceSpan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, TryLockError};
@@ -73,8 +79,7 @@ pub(crate) fn now_ns() -> u64 {
 }
 
 /// The shared state behind a [`CancelToken`]: a sticky flag plus an
-/// optional deadline. Kept separate from the token so a pool can cache a
-/// raw pointer to it and check it with one relaxed load per chunk claim.
+/// optional deadline.
 struct CancelState {
     flag: AtomicBool,
     /// Deadline as [`now_ns`] nanoseconds; 0 = no deadline armed.
@@ -324,11 +329,15 @@ struct Shared {
     done_lock: Mutex<()>,
     done_cv: Condvar,
     done_parked: AtomicBool,
-    /// Raw pointer to the [`CancelState`] of the installed token (0 =
-    /// none). The owning `Arc` is retained in `WorkerPool::installed`
-    /// for the pool's whole lifetime, so dereferencing is always safe
-    /// while the pool is alive.
-    cancel_ptr: AtomicUsize,
+    /// The run's cancel token, set once by [`WorkerPool::set_cancel`]
+    /// and owned by the pool from then on.
+    cancel: OnceLock<CancelToken>,
+    /// Whether claim bursts are recorded into `spans`
+    /// ([`WorkerPool::set_tracing`]); off by default.
+    trace_on: AtomicBool,
+    /// Spans recorded while `trace_on` was set, drained by
+    /// [`WorkerPool::take_spans`].
+    spans: Mutex<Vec<TraceSpan>>,
     /// Logical threads of the *current* job that panicked (reset at
     /// publish). Panicked threads are still counted in `completed`.
     panicked: AtomicUsize,
@@ -353,29 +362,38 @@ struct Shared {
     wmetrics: Vec<crate::metrics::WorkerHandles>,
 }
 
-/// The installed cancel state, if any. SAFETY: see `Shared::cancel_ptr`.
+/// The installed cancel state, if any.
 #[inline]
 fn cancel_state(s: &Shared) -> Option<&CancelState> {
-    let p = s.cancel_ptr.load(Ordering::Relaxed);
-    if p == 0 {
-        None
-    } else {
-        Some(unsafe { &*(p as *const CancelState) })
-    }
+    s.cancel.get().map(|t| &*t.state)
 }
 
-/// One-relaxed-load cancellation check used per chunk claim.
+/// The cancellation check used per chunk claim: the token's relaxed
+/// flag load, behind the set-once slot's check (no lock, no allocation).
 #[inline]
 fn cancel_flag(s: &Shared) -> bool {
     cancel_state(s).is_some_and(|c| c.flag.load(Ordering::Relaxed))
 }
 
-// SAFETY: `ctx` is an address dereferenced only through the matching
-// trampoline while the dispatching call frame is alive — the dispatch
-// protocol (completion barrier + job-id-tagged cursor) guarantees no
-// claim outlives the dispatch that published it.
-unsafe impl Send for Shared {}
-unsafe impl Sync for Shared {}
+/// Starts a span when the pool's capture is on: one relaxed load, and
+/// the clock is read only while capturing.
+#[inline]
+fn span_start(s: &Shared) -> Option<u64> {
+    s.trace_on.load(Ordering::Relaxed).then(now_ns)
+}
+
+/// Closes a span begun by [`span_start`] into the pool's buffer.
+fn record_span(s: &Shared, start: Option<u64>, tid: u32, job: u32, chunks: u64) {
+    if let Some(start_ns) = start {
+        lock_unpoisoned(&s.spans).push(TraceSpan {
+            tid,
+            job,
+            start_ns,
+            end_ns: now_ns(),
+            chunks,
+        });
+    }
+}
 
 /// Packs the claim word: `(job_id << 32) | next_unclaimed_thread`.
 ///
@@ -402,8 +420,8 @@ thread_local! {
     /// Address of the `Shared` block of the pool this thread serves as
     /// a worker (0 on non-pool threads). Scoped *per pool* so a worker
     /// of one pool can still dispatch on a different, idle pool — e.g.
-    /// a closure running on an engine's pool calling `sync::fanout`,
-    /// which runs on the global pool. Only a
+    /// a closure running on one engine's pool fanning out on another
+    /// engine's pool. Only a
     /// fan-out back onto the worker's *own* pool is forced inline:
     /// dispatching there would park on a completion barrier this very
     /// thread is supposed to help drain. Cross-pool dispatch cycles
@@ -601,12 +619,11 @@ fn worker_loop(shared: &Shared, idx: usize) {
         // `fn(usize, usize)` by `run` under the validated seqlock.
         let call: fn(usize, usize) = unsafe { std::mem::transmute(call_addr) };
         let id = (e1 >> 1) as u32;
-        // Span capture is behind a relaxed flag that is off by default;
-        // the timestamp reads and the span push only happen while a
-        // trace export was explicitly requested, so the steady-state
+        // Span capture is behind the pool's relaxed flag, off by
+        // default; the timestamp reads and the span push only happen
+        // while a trace was explicitly requested, so the steady-state
         // hot path (and the zero-alloc invariant) are untouched.
-        let tracing = crate::telemetry::trace_enabled();
-        let t0 = if tracing { now_ns() } else { 0 };
+        let t0 = span_start(shared);
         let tally = |first: bool| {
             if first {
                 stat.busy.fetch_add(1, Ordering::Relaxed);
@@ -625,14 +642,8 @@ fn worker_loop(shared: &Shared, idx: usize) {
             false,
             home,
         );
-        if tracing && claimed > 0 {
-            crate::telemetry::record_span(crate::telemetry::TraceSpan {
-                tid: idx as u32 + 1,
-                job: id,
-                start_ns: t0,
-                end_ns: now_ns(),
-                chunks: claimed,
-            });
+        if claimed > 0 {
+            record_span(shared, t0, idx as u32 + 1, id, claimed);
         }
     }
 }
@@ -655,11 +666,6 @@ pub struct WorkerPool {
     /// execution rather than blocking (the fan-out contract is "each
     /// logical thread exactly once", which inline trivially satisfies).
     dispatch_lock: Mutex<()>,
-    /// Keeps every installed [`CancelToken`]'s state alive for the
-    /// pool's lifetime so `Shared::cancel_ptr` can never dangle.
-    /// Installs are rare (engine construction, CLI setup), so the
-    /// unbounded-growth concern is theoretical.
-    installed: Mutex<Vec<CancelToken>>,
     dispatches: AtomicU64,
     inline_runs: AtomicU64,
     dispatcher_chunks: AtomicU64,
@@ -746,7 +752,9 @@ impl WorkerPool {
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
             done_parked: AtomicBool::new(false),
-            cancel_ptr: AtomicUsize::new(0),
+            cancel: OnceLock::new(),
+            trace_on: AtomicBool::new(false),
+            spans: Mutex::new(Vec::new()),
             panicked: AtomicUsize::new(0),
             panic_msg: Mutex::new(None),
             job_cancelled: AtomicBool::new(false),
@@ -789,7 +797,6 @@ impl WorkerPool {
             handles: Mutex::new(handles),
             workers: AtomicUsize::new(spawned + 1),
             dispatch_lock: Mutex::new(()),
-            installed: Mutex::new(Vec::new()),
             dispatches: AtomicU64::new(0),
             inline_runs: AtomicU64::new(0),
             dispatcher_chunks: AtomicU64::new(0),
@@ -827,20 +834,38 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Installs (or clears) the cancellation token checked by every
-    /// chunk claim of every subsequent dispatch. The token's state is
-    /// retained for the pool's lifetime.
-    pub fn set_cancel(&self, token: Option<CancelToken>) {
-        let mut installed = lock_unpoisoned(&self.installed);
-        match token {
-            Some(t) => {
-                self.shared
-                    .cancel_ptr
-                    .store(Arc::as_ptr(&t.state) as usize, Ordering::Release);
-                installed.push(t);
-            }
-            None => self.shared.cancel_ptr.store(0, Ordering::Release),
+    /// Installs the run's cancellation token, checked by every chunk
+    /// claim of every subsequent dispatch. A pool serves one run, so the
+    /// token is set once, when the engine is prepared, and never
+    /// swapped or cleared.
+    ///
+    /// # Panics
+    /// Panics if a different token is already installed.
+    pub fn set_cancel(&self, token: CancelToken) {
+        if let Err(token) = self.shared.cancel.set(token) {
+            let installed = self.shared.cancel.get().map(|t| &t.state);
+            assert!(
+                installed.is_some_and(|s| Arc::ptr_eq(s, &token.state)),
+                "a pool's cancel token is set once"
+            );
         }
+    }
+
+    /// Turns span capture on or off for this pool. While on, every
+    /// claim burst of every fan-out records one [`TraceSpan`]; turning
+    /// it on clears spans left from an earlier capture.
+    pub fn set_tracing(&self, on: bool) {
+        if on {
+            lock_unpoisoned(&self.shared.spans).clear();
+        }
+        self.shared.trace_on.store(on, Ordering::Relaxed);
+    }
+
+    /// Drains the spans captured so far, sorted by thread then start.
+    pub fn take_spans(&self) -> Vec<TraceSpan> {
+        let mut spans = std::mem::take(&mut *lock_unpoisoned(&self.shared.spans));
+        spans.sort_by_key(|s| (s.tid, s.start_ns));
+        spans
     }
 
     /// Joins and replaces any worker thread that died (a panic escaping
@@ -930,7 +955,7 @@ impl WorkerPool {
             return traced_inline(s, nthreads, f);
         }
         // One dispatcher at a time; a second concurrent caller (e.g.
-        // two test threads sharing the global pool) runs inline. A
+        // two threads sharing one pool) runs inline. A
         // poisoned lock is recovered, not propagated: it guards no data.
         let _guard = match self.dispatch_lock.try_lock() {
             Ok(g) => g,
@@ -991,20 +1016,13 @@ impl WorkerPool {
         s.idle_cv.notify_all();
 
         // ---- participate ----
-        let tracing = crate::telemetry::trace_enabled();
-        let t0 = if tracing { now_ns() } else { 0 };
+        let t0 = span_start(s);
         let tally = |_| {
             self.dispatcher_chunks.fetch_add(1, Ordering::Relaxed);
         };
         let claimed = drain_work(s, id, nthreads, chunk, f, tally, false, true, 0);
-        if tracing && claimed > 0 {
-            crate::telemetry::record_span(crate::telemetry::TraceSpan {
-                tid: 0,
-                job: id,
-                start_ns: t0,
-                end_ns: now_ns(),
-                chunks: claimed,
-            });
+        if claimed > 0 {
+            record_span(s, t0, 0, id, claimed);
         }
 
         // ---- completion barrier (spin → yield → park) ----
@@ -1079,8 +1097,6 @@ impl Drop for WorkerPool {
         self.shared.shutdown.store(true, Ordering::Release);
         drop(lock_unpoisoned(&self.shared.idle_lock));
         self.shared.idle_cv.notify_all();
-        // Workers are joined before `installed` drops, so no thread can
-        // observe a dangling `cancel_ptr`.
         for h in lock_unpoisoned(&self.handles).drain(..).flatten() {
             let _ = h.join();
         }
@@ -1091,18 +1107,9 @@ impl Drop for WorkerPool {
 /// so traces stay informative on machines (or reentrant paths) where
 /// fan-outs never reach the spawned workers.
 fn traced_inline<F: Fn(usize)>(s: &Shared, nthreads: usize, f: &F) -> Result<(), FanoutError> {
-    let tracing = crate::telemetry::trace_enabled();
-    let t0 = if tracing { now_ns() } else { 0 };
+    let t0 = span_start(s);
     let r = inline_fanout(s, nthreads, f);
-    if tracing {
-        crate::telemetry::record_span(crate::telemetry::TraceSpan {
-            tid: 0,
-            job: 0,
-            start_ns: t0,
-            end_ns: now_ns(),
-            chunks: 1,
-        });
-    }
+    record_span(s, t0, 0, 0, 1);
     r
 }
 
@@ -1194,22 +1201,14 @@ pub fn resolve_workers(num_threads: usize) -> usize {
     n.min(hardware_workers())
 }
 
-/// The process-wide default executor, used by call sites that have no
-/// engine: the `sync::fanout` free function and the dense update of
-/// engines without a pool of their own (the default
-/// [`crate::MttkrpEngine::executor`]).
+/// A width-only default pool: the executor of engines that own none
+/// (the default [`crate::MttkrpEngine::executor`]). No run configures it
+/// — it never carries a cancel token or captures spans.
 pub fn global() -> &'static Executor {
+    // Process-wide: the trait default needs a pool that outlives every
+    // engine; it holds no per-run state.
     static GLOBAL: OnceLock<Executor> = OnceLock::new();
     GLOBAL.get_or_init(|| Executor::new(resolve_workers(0)))
-}
-
-/// Installs (or clears, with `None`) a cancel token on the
-/// process-global executor, so the `sync::fanout` free function and the
-/// engines that run on the global pool observe cancellation too.
-/// Engine executors get their token separately, at preparation, from
-/// `StefOptions::cancel`.
-pub fn set_global_cancel(token: Option<CancelToken>) {
-    global().set_cancel(token);
 }
 
 /// The dense algebra's fan-outs run on the pool like any other job. A
@@ -1390,7 +1389,7 @@ mod tests {
     fn cancel_mid_job_skips_unclaimed_threads() {
         let exec = Executor::new(4);
         let token = CancelToken::new();
-        exec.set_cancel(Some(token.clone()));
+        exec.set_cancel(token.clone());
         let ran = AtomicUsize::new(0);
         let t2 = token.clone();
         // 1000 threads with chunk ~62: at most `workers` chunks are in
@@ -1407,9 +1406,9 @@ mod tests {
         assert!(executed < 1000, "cancellation never took effect");
         let c = exec.counters();
         assert_eq!(c.cancelled_jobs, 1);
-        // Clearing the token restores normal dispatch.
-        exec.set_cancel(None);
-        coverage(&exec, 64);
+        // The token belongs to this pool's run: a fresh executor
+        // dispatches normally.
+        coverage(&Executor::new(4), 64);
     }
 
     #[test]
@@ -1417,7 +1416,7 @@ mod tests {
         let exec = Executor::new(4);
         let token = CancelToken::new();
         token.cancel();
-        exec.set_cancel(Some(token));
+        exec.set_cancel(token);
         let ran = AtomicUsize::new(0);
         let r = exec.try_fanout(16, |_| {
             ran.fetch_add(1, Ordering::Relaxed);
@@ -1436,8 +1435,39 @@ mod tests {
         assert!(token.is_cancelled(), "expiry must be promoted to the sticky flag");
 
         let exec = Executor::new(2);
-        exec.set_cancel(Some(token));
+        exec.set_cancel(token);
         assert_eq!(exec.try_fanout(8, |_| {}), Err(FanoutError::Cancelled));
+    }
+
+    #[test]
+    fn cancel_token_is_set_once() {
+        let exec = Executor::new(2);
+        let token = CancelToken::new();
+        exec.set_cancel(token.clone());
+        // Re-installing the same token is harmless...
+        exec.set_cancel(token.clone());
+        // ...a second, different token is a contract violation.
+        let other = catch_unwind(AssertUnwindSafe(|| exec.set_cancel(CancelToken::new())));
+        assert!(other.is_err(), "a second token must not replace the first");
+        token.cancel();
+        assert!(exec.cancelled());
+    }
+
+    #[test]
+    fn span_buffer_round_trips_when_enabled() {
+        let exec = Executor::new(2);
+        exec.set_tracing(true);
+        exec.fanout(8, |_| {});
+        let spans = exec.take_spans();
+        assert!(!spans.is_empty(), "a traced fan-out records its claim bursts");
+        assert!(spans.iter().all(|s| s.end_ns >= s.start_ns && s.chunks > 0));
+        assert!(exec.take_spans().is_empty(), "take_spans drains the buffer");
+        // Disabled capture records nothing, and other pools never see
+        // this pool's spans.
+        exec.set_tracing(false);
+        exec.fanout(8, |_| {});
+        assert!(exec.take_spans().is_empty());
+        assert!(global().take_spans().is_empty());
     }
 
     #[test]
@@ -1485,7 +1515,7 @@ mod tests {
         let topo = NumaTopology::synthetic(vec![vec![0, 1], vec![0, 1]]);
         let exec = Executor(Arc::new(WorkerPool::with_numa(4, NumaPolicy::Auto, &topo)));
         let token = CancelToken::new();
-        exec.set_cancel(Some(token.clone()));
+        exec.set_cancel(token.clone());
         let t2 = token.clone();
         // Both segments' cursors must be swallowed or the barrier hangs.
         let r = exec.try_fanout(1000, move |th| {
@@ -1494,8 +1524,8 @@ mod tests {
             }
         });
         assert!(matches!(r, Ok(()) | Err(FanoutError::Cancelled)));
-        exec.set_cancel(None);
-        coverage(&exec, 64);
+        let fresh = Executor(Arc::new(WorkerPool::with_numa(4, NumaPolicy::Auto, &topo)));
+        coverage(&fresh, 64);
     }
 
     #[test]
@@ -1544,7 +1574,7 @@ mod tests {
             other => panic!("expected Panicked, got {other:?}"),
         }
         let token = CancelToken::new();
-        exec.set_cancel(Some(token.clone()));
+        exec.set_cancel(token.clone());
         let ran = AtomicUsize::new(0);
         let r = exec.try_fanout(8, |th| {
             if th == 1 {

@@ -213,21 +213,14 @@ impl<'a> SharedRows<'a> {
 /// shared with the dense-algebra fan-outs of `linalg`.
 pub use linalg::par::SharedSlice;
 
-/// Runs `f(th)` for every logical thread `0..nthreads` on the
-/// process-global persistent worker pool ([`crate::runtime::global`]),
-/// allocation-free in the steady state.
-///
-/// Callers with an engine-owned [`crate::runtime::Executor`] (which
-/// honors `StefOptions::num_threads`) should fan out on that executor
-/// directly; this free function exists for schedule-less call sites
-/// (validation scans, baselines, tests).
-pub fn fanout<F: Fn(usize) + Sync>(nthreads: usize, f: F) {
-    crate::runtime::global().fanout(nthreads, f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::Executor;
+
+    fn fanout<F: Fn(usize) + Sync>(nthreads: usize, f: F) {
+        Executor::new(4).fanout(nthreads, f);
+    }
 
     #[test]
     fn disjoint_rows_written_in_parallel() {
@@ -274,20 +267,6 @@ mod tests {
     fn rejects_ragged_buffer() {
         let mut buf = vec![0.0; 7];
         let _ = SharedRows::new(&mut buf, 2);
-    }
-
-    #[test]
-    fn fanout_covers_every_logical_thread_once() {
-        use std::sync::atomic::AtomicUsize;
-        for nthreads in [0usize, 1, 2, 3, 7, 16, 33] {
-            let hits: Vec<AtomicUsize> = (0..nthreads).map(|_| AtomicUsize::new(0)).collect();
-            fanout(nthreads, |th| {
-                hits[th].fetch_add(1, Ordering::Relaxed);
-            });
-            for (th, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "thread {th} of {nthreads}");
-            }
-        }
     }
 
     #[test]

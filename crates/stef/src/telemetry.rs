@@ -18,14 +18,16 @@
 //!    into per-iteration [`IterationRecord`]s and joins them against
 //!    the §IV-C model prediction ([`TelemetryReport::model_audit`]).
 //!
-//! 3. **Worker spans**. When tracing is enabled
-//!    ([`set_trace_enabled`]), the runtime pool records one
+//! 3. **Worker spans**. A pool whose capture is on
+//!    ([`crate::runtime::WorkerPool::set_tracing`]) records one
 //!    [`TraceSpan`] per claim burst (worker id, job id, start/end
-//!    nanoseconds, chunks claimed). The gate is a single relaxed
-//!    atomic load on the dispatch path; it is off by default, so the
-//!    steady-state allocation-free guarantee holds whenever tracing is
-//!    not explicitly requested. Spans export to Chrome `trace_event`
-//!    JSON ([`render_chrome_trace`]) with one track per worker.
+//!    nanoseconds, chunks claimed) into its own buffer, and `cpd_als`
+//!    drains the engine's pool into [`TelemetryReport::spans`]. The gate
+//!    is a single relaxed atomic load on the dispatch path; it is off by
+//!    default, so the steady-state allocation-free guarantee holds
+//!    whenever tracing is not explicitly requested. Spans export to
+//!    Chrome `trace_event` JSON ([`render_chrome_trace`]) with one track
+//!    per worker.
 //!
 //! Measured traffic is cache-oblivious element counting (the
 //! `counters.rs` convention: every fiber visit pays its structure and
@@ -33,9 +35,6 @@
 //! estimate. The two coincide when the modeled cache is zero and
 //! diverge by design otherwise — the audit quantifies exactly that
 //! divergence.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
 // Leveled logging
@@ -178,8 +177,8 @@ pub struct IterationRecord {
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryReport {
     pub records: Vec<IterationRecord>,
-    /// Worker spans drained at the end of the run (empty unless
-    /// tracing was enabled).
+    /// Worker spans drained from the engine's pool at the end of the run
+    /// (empty unless its capture was on).
     pub spans: Vec<TraceSpan>,
     /// Name of the engine that ran the sweep (`"stef"`, `"alto"`, ...).
     /// Empty when the driver did not stamp it.
@@ -286,14 +285,13 @@ impl Collector {
         });
     }
 
-    /// Finishes the run: drains any pending worker spans into the
-    /// report. Samples from a partially-completed iteration (cancel,
-    /// unrecovered error) are dropped — records always describe whole
-    /// iterations.
-    pub fn finish(self) -> TelemetryReport {
+    /// Finishes the run with the worker spans its pool captured.
+    /// Samples from a partially-completed iteration (cancel, unrecovered
+    /// error) are dropped — records always describe whole iterations.
+    pub fn finish(self, spans: Vec<TraceSpan>) -> TelemetryReport {
         TelemetryReport {
             records: self.records,
-            spans: take_spans(),
+            spans,
             engine: String::new(),
             numa_nodes: 1,
         }
@@ -316,46 +314,6 @@ pub struct TraceSpan {
     pub start_ns: u64,
     pub end_ns: u64,
     pub chunks: u64,
-}
-
-static TRACE_ON: AtomicBool = AtomicBool::new(false);
-static SPANS: Mutex<Vec<TraceSpan>> = Mutex::new(Vec::new());
-
-/// Turns span recording on or off process-wide. Enabling clears any
-/// previously buffered spans.
-pub fn set_trace_enabled(on: bool) {
-    if on {
-        lock_spans().clear();
-    }
-    TRACE_ON.store(on, Ordering::Relaxed);
-}
-
-/// One relaxed load.
-#[inline]
-pub fn trace_enabled() -> bool {
-    TRACE_ON.load(Ordering::Relaxed)
-}
-
-/// Buffers a span. Callers gate on [`trace_enabled`] *before* taking
-/// timestamps, so the disabled path costs exactly the one relaxed
-/// load and the enabled path is the only one that touches the global
-/// buffer.
-pub fn record_span(span: TraceSpan) {
-    if trace_enabled() {
-        lock_spans().push(span);
-    }
-}
-
-/// Drains and returns all buffered spans (sorted by thread then start
-/// time).
-pub fn take_spans() -> Vec<TraceSpan> {
-    let mut spans = std::mem::take(&mut *lock_spans());
-    spans.sort_by_key(|s| (s.tid, s.start_ns));
-    spans
-}
-
-fn lock_spans() -> std::sync::MutexGuard<'static, Vec<TraceSpan>> {
-    crate::sync::lock_unpoisoned(&SPANS)
 }
 
 // ---------------------------------------------------------------------------
@@ -628,7 +586,7 @@ mod tests {
         c.record_mode(0, 0.5e-3, Some(stats.clone()), Some((900.0, 250.0)));
         c.record_mode(1, 0.25e-3, Some(stats), Some((1200.0, 200.0)));
         c.end_iteration(0, 0.9, 3);
-        c.finish()
+        c.finish(Vec::new())
     }
 
     #[test]
@@ -680,25 +638,6 @@ mod tests {
         assert!(json.contains("\"name\":\"worker 1\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"dur\":2"));
-    }
-
-    #[test]
-    fn span_buffer_round_trips_when_enabled() {
-        set_trace_enabled(true);
-        record_span(TraceSpan {
-            tid: 2,
-            job: 7,
-            start_ns: 10,
-            end_ns: 20,
-            chunks: 1,
-        });
-        let spans = take_spans();
-        set_trace_enabled(false);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].job, 7);
-        // Disabled recording drops spans.
-        record_span(TraceSpan::default());
-        assert!(take_spans().is_empty());
     }
 
     #[test]

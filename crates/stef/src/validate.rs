@@ -9,7 +9,8 @@
 
 use crate::cpd::init_factors;
 use crate::engine::MttkrpEngine;
-use linalg::approx_eq;
+use crate::runtime::Executor;
+use linalg::{approx_eq, Mat};
 use sptensor::CooTensor;
 
 /// One detected mismatch.
@@ -71,7 +72,7 @@ pub fn validate_engine<E: MttkrpEngine + ?Sized>(
             }
             let got = engine.mttkrp(&factors, mode);
             let expect = reference_tensor.mttkrp_reference(&factors, mode);
-            if let Some(w) = worst_mismatch(mode, &got, &expect, tol) {
+            if let Some(w) = worst_mismatch(engine.executor(), mode, &got, &expect, tol) {
                 mismatches.push(w);
             }
         }
@@ -84,21 +85,21 @@ pub fn validate_engine<E: MttkrpEngine + ?Sized>(
 }
 
 /// Scans `got` against `expect` for the worst out-of-tolerance element,
-/// fanning row blocks out on the global runtime. Each task records its
+/// fanning row blocks out on `exec`, the validated engine's pool. Each task records its
 /// block's worst (first-encountered on ties, like the serial scan) in a
 /// private slot; the slots are combined in task order with a strict
 /// comparison, so the result is identical to a serial row-major scan
 /// for any worker count.
-fn worst_mismatch(mode: usize, got: &linalg::Mat, expect: &linalg::Mat, tol: f64) -> Option<Mismatch> {
+fn worst_mismatch(exec: &Executor, mode: usize, got: &Mat, expect: &Mat, tol: f64) -> Option<Mismatch> {
     let rows = expect.rows();
     if rows == 0 {
         return None;
     }
-    let ntasks = crate::runtime::global().workers().clamp(1, rows);
+    let ntasks = exec.workers().clamp(1, rows);
     let mut slots: Vec<Option<Mismatch>> = vec![None; ntasks];
     {
         let shared = crate::sync::SharedSlice::new(&mut slots);
-        crate::sync::fanout(ntasks, |w| {
+        exec.fanout(ntasks, |w| {
             let lo = w * rows / ntasks;
             let hi = (w + 1) * rows / ntasks;
             let mut worst: Option<Mismatch> = None;

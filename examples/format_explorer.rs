@@ -91,13 +91,14 @@ fn main() {
 
     // What each engine's storage costs.
     println!("\nstorage comparison:");
-    let alto = Alto::prepare(&tensor, rank, 0);
+    let pool = stef::Executor::new(stef::runtime::resolve_workers(0));
+    let alto = Alto::prepare(&tensor, rank, 0, &pool);
     println!(
         "  ALTO linearized:   {:>8.2} MB",
         alto.memory_bytes() as f64 / 1e6
     );
     for variant in [SplattVariant::One, SplattVariant::Two, SplattVariant::All] {
-        let s = Splatt::prepare(&tensor, variant, rank, 0);
+        let s = Splatt::prepare(&tensor, variant, rank, 0, &pool);
         println!(
             "  {:<18} {:>8.2} MB",
             format!("{}:", s.name()),

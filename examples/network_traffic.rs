@@ -63,7 +63,8 @@ fn main() {
     let mut slice_engine = Stef::prepare(&tensor, slice_opts);
     let t_slice = time_sweep(&mut slice_engine);
 
-    let mut splatt = Splatt::prepare(&tensor, SplattVariant::One, rank, 0);
+    let pool = stef::Executor::new(stef::runtime::resolve_workers(0));
+    let mut splatt = Splatt::prepare(&tensor, SplattVariant::One, rank, 0, &pool);
     let t_splatt = time_sweep(&mut splatt);
 
     println!(

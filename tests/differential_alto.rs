@@ -77,7 +77,7 @@ proptest! {
     ) {
         let factors = factors_for(t.dims(), rank, 77);
         let mut stef_engine = Stef::prepare(&t, StefOptions::new(rank));
-        let mut oracle = AltoOracle::prepare(&t, rank, 1);
+        let mut oracle = AltoOracle::prepare(&t, rank, 1, &stef::Executor::new(1));
         for accum in [AccumStrategy::Auto, AccumStrategy::Privatized, AccumStrategy::Atomic] {
             let mut opts = StefOptions::new(rank);
             opts.accum = accum;

@@ -66,7 +66,7 @@ fn alto_and_csf_engines_agree_on_loaded_file() {
     let loaded = read_tns(buf.as_slice()).unwrap();
     let rank = 4;
     let factors = init_factors(loaded.dims(), rank, 5);
-    let mut alto = baselines::Alto::prepare(&loaded, rank, 2);
+    let mut alto = baselines::Alto::prepare(&loaded, rank, 2, &stef::Executor::new(2));
     let mut stef_engine = Stef::prepare(&loaded, StefOptions::new(rank));
     for mode in stef_engine.sweep_order() {
         assert_mat_approx_eq(

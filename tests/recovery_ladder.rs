@@ -8,7 +8,9 @@
 //!   reference engine (whose bits hold on every SIMD path) so are the
 //!   fits, `λ` and factors;
 //! * engine fallback — a NaN in a memoized MTTKRP drops memoization and
-//!   recomputes, and the recomputation is recorded like any MTTKRP.
+//!   recomputes, and the recomputation is recorded like any MTTKRP;
+//!   an MTTKRP that overflows on a resumed checkpoint's huge factors is
+//!   recomputed after their column scales are folded into `λ`.
 //!
 //! The `stef_mttkrp_seconds` histograms are process-wide, so every test
 //! here holds one lock while it runs the driver.
@@ -257,6 +259,30 @@ fn overflowing_gram_reinits_the_factor() {
         ]
     );
     assert_eq!(factor_hash(&result), 0x54b2_3a77_53ab_80ea);
+}
+
+#[test]
+fn huge_resumed_factors_are_folded_into_lambda_and_the_run_completes() {
+    let _guard = driver_lock();
+    let t = test_tensor();
+    let cp = after_one_iteration(&mut ReferenceEngine::new(t.clone()));
+    // Factors 1 and 2 at finite 1e200: their product overflows mode 0's
+    // MTTKRP, which the reference engine cannot answer by dropping
+    // memoization.
+    let mut huge = cp.clone();
+    for m in [1, 2] {
+        huge.factors[m] = Mat::from_fn(cp.dims[m], 4, |_, _| 1e200);
+    }
+    let o = CpdOptions {
+        resume: Some(huge),
+        ..opts(4, 4)
+    };
+    let result = cpd_als(&mut ReferenceEngine::new(t), &o).expect("huge resumed factors are folded");
+    assert_eq!(result.iterations, 4);
+    assert_eq!(result.fits.len(), 4);
+    assert!(result.fits.iter().all(|f| f.is_finite()), "{:?}", result.fits);
+    assert!(result.lambda.iter().all(|l| l.is_finite()), "{:?}", result.lambda);
+    assert_eq!(result.recovery.factor_reinits, 0, "folding keeps the factors");
 }
 
 #[test]

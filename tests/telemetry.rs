@@ -1,8 +1,9 @@
 //! Telemetry layer, end to end: every iteration must record measured
 //! counters for every mode, spans must stay well-formed
-//! under worker panics and cancellation, the JSONL and Chrome exports
-//! must round-trip through the bench crate's tolerant JSON parser, and
-//! the model-vs-measured audit must produce finite relative errors.
+//! under worker panics and cancellation, a run's spans must come from
+//! its own pool only, the JSONL and Chrome exports must round-trip
+//! through the bench crate's tolerant JSON parser, and the
+//! model-vs-measured audit must produce finite relative errors.
 
 use stef::{cpd_als, CpdOptions, Fault, FaultyEngine, MemoPolicy, Stef, StefError, StefOptions};
 use stef_bench::{parse_json, Json};
@@ -85,16 +86,13 @@ fn jsonl_export_round_trips_through_the_bench_parser() {
     }
 }
 
-/// Span capture uses a process-global buffer behind a process-global
-/// enable flag, so every tracing scenario lives in this one test —
-/// parallel test threads must not toggle the flag underneath each other.
 #[test]
 fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
     let t = test_tensor();
 
     // Clean traced run: spans drain into the result and are well-formed.
-    stef::telemetry::set_trace_enabled(true);
     let mut engine = Stef::prepare(&t, engine_options(3));
+    engine.executor().set_tracing(true);
     let result = cpd_als(&mut engine, &cpd_opts(3, 2)).expect("traced run");
     assert!(!result.telemetry.spans.is_empty(), "traced run recorded no spans");
     for s in &result.telemetry.spans {
@@ -115,13 +113,14 @@ fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
     // A worker panic mid-CPD must not leave half-open spans behind.
     let stef = Stef::prepare(&t, engine_options(3));
     let exec = stef.executor().clone();
+    exec.set_tracing(true);
     let mut faulty = FaultyEngine::new(stef, vec![Fault::WorkerPanicOnce { at: 2, thread: 0 }])
-        .with_executor(exec);
+        .with_executor(exec.clone());
     match cpd_als(&mut faulty, &cpd_opts(3, 4)) {
         Err(StefError::WorkerPanic { .. }) => {}
         other => panic!("expected WorkerPanic, got {other:?}"),
     }
-    for s in stef::telemetry::take_spans() {
+    for s in exec.take_spans() {
         assert!(s.end_ns >= s.start_ns, "panic left a malformed span: {s:?}");
     }
 
@@ -131,21 +130,43 @@ fn spans_stay_well_formed_under_tracing_panic_and_cancel() {
     let mut opts = engine_options(3);
     opts.cancel = Some(token.clone());
     let mut engine = Stef::prepare(&t, opts);
+    engine.executor().set_tracing(true);
     let mut copts = cpd_opts(3, 4);
     copts.cancel = Some(token);
     match cpd_als(&mut engine, &copts) {
         Err(StefError::Cancelled { .. }) => {}
         other => panic!("expected Cancelled, got {other:?}"),
     }
-    for s in stef::telemetry::take_spans() {
+    for s in engine.executor().take_spans() {
         assert!(s.end_ns >= s.start_ns, "cancel left a malformed span: {s:?}");
     }
 
     // Disabling tracing stops recording entirely.
-    stef::telemetry::set_trace_enabled(false);
+    engine.executor().set_tracing(false);
     let mut engine = Stef::prepare(&t, engine_options(3));
     let result = cpd_als(&mut engine, &cpd_opts(3, 2)).expect("untraced run");
     assert!(result.telemetry.spans.is_empty(), "tracing off must record nothing");
+}
+
+/// Span capture belongs to the run's pool: a traced and an untraced
+/// `cpd_als` running at the same time each get exactly their own spans.
+#[test]
+fn concurrent_runs_keep_their_own_spans() {
+    let t = test_tensor();
+    for round in 0..5 {
+        let run = |traced: bool| {
+            let mut engine = Stef::prepare(&t, engine_options(3));
+            engine.executor().set_tracing(traced);
+            cpd_als(&mut engine, &cpd_opts(3, 3)).expect("healthy run").telemetry.spans
+        };
+        let (traced, untraced) = std::thread::scope(|s| {
+            let traced = s.spawn(|| run(true));
+            let untraced = s.spawn(|| run(false));
+            (traced.join().unwrap(), untraced.join().unwrap())
+        });
+        assert!(!traced.is_empty(), "round {round}: the traced run lost its spans");
+        assert!(untraced.is_empty(), "round {round}: the untraced run holds {} spans", untraced.len());
+    }
 }
 
 #[test]
