@@ -26,54 +26,13 @@
 //! measures.
 
 use linalg::Mat;
-use sptensor::CooTensor;
+use sptensor::keysort::{self, Cursor, Keys, Word, WordKeys};
+use sptensor::{with_cursor, CooTensor};
 use stef::sync::SharedSlice;
 use stef::{Executor, MttkrpEngine};
 
-/// A word type usable as a linearized index.
-trait LinWord: Copy + Send + Sync {
-    fn zero() -> Self;
-    fn get_bit(self, p: u32) -> u64;
-    fn or_bit(&mut self, p: u32, bit: u64);
-    fn key(self) -> u128;
-}
-
-impl LinWord for u64 {
-    fn zero() -> Self {
-        0
-    }
-    #[inline]
-    fn get_bit(self, p: u32) -> u64 {
-        (self >> p) & 1
-    }
-    #[inline]
-    fn or_bit(&mut self, p: u32, bit: u64) {
-        *self |= bit << p;
-    }
-    fn key(self) -> u128 {
-        self as u128
-    }
-}
-
-impl LinWord for u128 {
-    fn zero() -> Self {
-        0
-    }
-    #[inline]
-    fn get_bit(self, p: u32) -> u64 {
-        ((self >> p) & 1) as u64
-    }
-    #[inline]
-    fn or_bit(&mut self, p: u32, bit: u64) {
-        *self |= (bit as u128) << p;
-    }
-    fn key(self) -> u128 {
-        self
-    }
-}
-
 /// The linearized payload at one index width.
-struct AltoStore<T: LinWord> {
+struct AltoStore<T: Word> {
     /// Bit positions (in the linear index) of each mode's coordinate
     /// bits, LSB-first.
     positions: Vec<Vec<u32>>,
@@ -82,7 +41,7 @@ struct AltoStore<T: LinWord> {
     vals: Vec<f64>,
 }
 
-impl<T: LinWord> AltoStore<T> {
+impl<T: Word> AltoStore<T> {
     fn build(coo: &CooTensor, bits: &[u32]) -> Self {
         let d = coo.ndim();
         // Round-robin interleave from the LSB: at step k, every mode
@@ -101,37 +60,39 @@ impl<T: LinWord> AltoStore<T> {
         }
 
         // Flat buffers end to end: encode every entry into one linear-
-        // index array, argsort a u32 permutation over it, then gather.
-        // Linearization is injective on coordinates, so equal linear
-        // indices are exactly the duplicate entries `sort_dedup` would
-        // merge — summing them during the gather deduplicates without
-        // cloning the tensor or staging (index, value) tuple pairs.
+        // index array, sort it stably with the entry indices (`keysort`),
+        // then gather. Linearization is injective on coordinates, so
+        // equal linear indices are exactly the duplicate entries
+        // `sort_dedup` would merge — summing them (in input order)
+        // during the gather deduplicates without cloning the tensor.
         let nnz = coo.nnz();
         let mut encoded: Vec<T> = Vec::with_capacity(nnz);
         for e in 0..nnz {
-            let mut lin = T::zero();
+            let mut lin = T::ZERO;
             for (m, mode_positions) in positions.iter().enumerate() {
                 let c = coo.indices()[m][e] as u64;
                 for (b, &p) in mode_positions.iter().enumerate() {
-                    lin.or_bit(p, (c >> b) & 1);
+                    lin = lin.or(T::from_u64((c >> b) & 1).shl(p));
                 }
             }
             encoded.push(lin);
         }
-        let mut order: Vec<u32> = (0..nnz as u32).collect();
-        order.sort_unstable_by_key(|&e| encoded[e as usize].key());
+        let keys = WordKeys::new(&encoded, pos);
+        let sorted = keysort::sort(&keys);
         let mut lin: Vec<T> = Vec::with_capacity(nnz);
         let mut vals: Vec<f64> = Vec::with_capacity(nnz);
         let src = coo.values();
-        for &eu in &order {
-            let e = eu as usize;
-            if lin.last().is_some_and(|l| l.key() == encoded[e].key()) {
-                *vals.last_mut().expect("lin and vals grow together") += src[e];
-            } else {
-                lin.push(encoded[e]);
-                vals.push(src[e]);
+        with_cursor!(sorted.view(&keys), |c| {
+            for i in 0..c.len() {
+                let v = src[c.src(i)];
+                if i > 0 && c.first_diff(i) == keys.widths().len() {
+                    *vals.last_mut().expect("lin and vals grow together") += v;
+                } else {
+                    lin.push(keys.join(|f| c.field(i, f)));
+                    vals.push(v);
+                }
             }
-        }
+        });
         AltoStore {
             positions,
             lin,
@@ -144,7 +105,7 @@ impl<T: LinWord> AltoStore<T> {
     fn decode(&self, lin: T, m: usize) -> usize {
         let mut c = 0u64;
         for (b, &p) in self.positions[m].iter().enumerate() {
-            c |= lin.get_bit(p) << b;
+            c |= lin.bit(p) << b;
         }
         c as usize
     }

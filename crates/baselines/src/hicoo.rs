@@ -17,7 +17,8 @@
 //!   uses per-thread buffers with a block partition, same effect).
 
 use linalg::Mat;
-use sptensor::CooTensor;
+use sptensor::keysort::{self, Cursor, Keys};
+use sptensor::{with_cursor, CooTensor};
 use stef::sync::SharedSlice;
 use stef::{Executor, MttkrpEngine};
 
@@ -40,6 +41,42 @@ impl Block {
     }
 }
 
+/// HiCOO's sort key: every mode's block index, then every mode's offset
+/// inside its block.
+struct BlockKeys<'a> {
+    cols: &'a [Vec<u32>],
+    widths: Vec<u32>,
+}
+
+impl<'a> BlockKeys<'a> {
+    fn new(coo: &'a CooTensor) -> Self {
+        let bits: Vec<u32> = coo.dims().iter().map(|&n| keysort::bits_for(n)).collect();
+        let blocks = bits.iter().map(|&b| b.saturating_sub(BLOCK_BITS));
+        let offsets = bits.iter().map(|&b| b.min(BLOCK_BITS));
+        BlockKeys {
+            cols: coo.indices(),
+            widths: blocks.chain(offsets).collect(),
+        }
+    }
+}
+
+impl Keys for BlockKeys<'_> {
+    fn len(&self) -> usize {
+        self.cols[0].len()
+    }
+    fn widths(&self) -> &[u32] {
+        &self.widths
+    }
+    fn field(&self, i: usize, f: usize) -> u64 {
+        let d = self.cols.len();
+        if f < d {
+            (self.cols[f][i] >> BLOCK_BITS) as u64
+        } else {
+            (self.cols[f - d][i] & ((1 << BLOCK_BITS) - 1)) as u64
+        }
+    }
+}
+
 /// The HiCOO-like engine.
 pub struct HiCoo {
     dims: Vec<usize>,
@@ -52,8 +89,10 @@ pub struct HiCoo {
 }
 
 impl HiCoo {
-    /// Builds the block structure (sort by block id, then group);
-    /// MTTKRPs fan out on `exec`.
+    /// Builds the block structure from one stable sort by block, then
+    /// by offset inside the block, and one scan that starts a block
+    /// wherever a block index changes; duplicate coordinates end up
+    /// adjacent and merge in input order. MTTKRPs fan out on `exec`.
     pub fn prepare(coo: &CooTensor, rank: usize, nthreads: usize, exec: &Executor) -> Self {
         assert!(coo.nnz() > 0, "empty tensors are not supported");
         let nthreads = if nthreads == 0 {
@@ -62,45 +101,43 @@ impl HiCoo {
             nthreads
         };
         let d = coo.ndim();
-        let mut dedup = coo.clone();
-        dedup.sort_dedup();
-
-        // Block key per entry: the per-mode block indices.
-        let block_of = |e: usize| -> Vec<u32> {
-            (0..d)
-                .map(|m| dedup.indices()[m][e] >> BLOCK_BITS)
-                .collect()
-        };
-        let mut order: Vec<u32> = (0..dedup.nnz() as u32).collect();
-        order.sort_unstable_by_key(|&e| block_of(e as usize));
-
+        let keys = BlockKeys::new(coo);
+        let sorted = keysort::sort(&keys);
         let mut blocks: Vec<Block> = Vec::new();
-        let mut current_key: Option<Vec<u32>> = None;
-        for &eu in &order {
-            let e = eu as usize;
-            let key = block_of(e);
-            if current_key.as_ref() != Some(&key) {
-                blocks.push(Block {
-                    base: key.iter().map(|&b| b << BLOCK_BITS).collect(),
-                    offsets: vec![Vec::new(); d],
-                    vals: Vec::new(),
-                });
-                current_key = Some(key);
+        let mut nnz = 0;
+        with_cursor!(sorted.view(&keys), |c| {
+            for i in 0..c.len() {
+                let diff = if i == 0 { 0 } else { c.first_diff(i) };
+                let v = coo.values()[c.src(i)];
+                if diff < d {
+                    blocks.push(Block {
+                        base: (0..d)
+                            .map(|m| (c.field(i, m) as u32) << BLOCK_BITS)
+                            .collect(),
+                        offsets: vec![Vec::new(); d],
+                        vals: Vec::new(),
+                    });
+                }
+                let blk = blocks.last_mut().expect("the first entry opens a block");
+                if diff == 2 * d {
+                    *blk.vals
+                        .last_mut()
+                        .expect("a duplicate follows its first copy") += v;
+                    continue;
+                }
+                for m in 0..d {
+                    blk.offsets[m].push(c.field(i, d + m) as u8);
+                }
+                blk.vals.push(v);
+                nnz += 1;
             }
-            let blk = blocks.last_mut().unwrap();
-            for m in 0..d {
-                let off = dedup.indices()[m][e] - blk.base[m];
-                debug_assert!(off < (1 << BLOCK_BITS));
-                blk.offsets[m].push(off as u8);
-            }
-            blk.vals.push(dedup.values()[e]);
-        }
+        });
         HiCoo {
             dims: coo.dims().to_vec(),
             rank,
             nthreads,
             norm_sq: coo.norm_sq(),
-            nnz: dedup.nnz(),
+            nnz,
             blocks,
             exec: exec.clone(),
         }

@@ -11,7 +11,7 @@
 
 use sptensor::{build_csf, sort_modes_by_length};
 use stef::runtime::{resolve_workers, Executor};
-use stef::{LevelProfile, Stef, StefOptions};
+use stef::{Stef, StefOptions};
 use stef_bench::{render_bar_chart, suite_selection, time_mttkrp_sweep, BenchConfig, Table};
 
 struct Fig5Row {
@@ -59,7 +59,7 @@ fn main() {
         for _ in 0..reps {
             let t0 = std::time::Instant::now();
             std::hint::black_box(
-                LevelProfile::swapped_from_csf_on(&exec, &csf, 32, 16 << 20)
+                sptensor::count_fibers_if_last_two_swapped_on(&exec, &csf)
                     .expect("the pool has no cancel token"),
             );
             pre = pre.min(t0.elapsed().as_secs_f64());

@@ -1,89 +1,250 @@
 //! Building a CSF from a COO tensor.
 //!
-//! The construction is the standard sort-and-scan: non-zeros are sorted
-//! lexicographically in the target mode order (a permutation array is
-//! sorted, not the tensor itself), duplicates are merged by summation,
-//! and one linear scan emits the fiber/pointer arrays level by level.
-//! Sorting dominates; it is a sequential unstable sort.
+//! The construction is sort-and-scan on packed keys: [`LevelSort`] packs
+//! each non-zero's coordinates, in the target level order, into one
+//! record with its input index and sorts the records once
+//! ([`crate::keysort`]). Everything a CSF engine needs before its first
+//! MTTKRP is read from that sorted order:
+//!
+//! * the §IV-C profile — fibers per level, and Algorithm 9's level-(d−2)
+//!   count for the order with the last two levels swapped — from one
+//!   scan of the records, with no CSF built ([`LevelSort::fiber_counts`]);
+//! * the swapped order, by re-sorting only inside each level-(d−3)
+//!   parent's run ([`LevelSort::swap_last_two`]);
+//! * the CSF itself ([`LevelSort::build`]): one scan reads each level's
+//!   coordinate out of the sorted record, starts new fibers from the
+//!   first level that differs from the previous record, fills arrays
+//!   reserved to their final sizes, and gathers the values once.
+//!
+//! Everything runs inline on the calling thread.
 
 use crate::coo::CooTensor;
 use crate::csf::Csf;
+use crate::keysort::{self, Columns, Cursor, Sorted};
 use crate::permute::is_permutation;
+use crate::with_cursor;
+
+/// The non-zeros of a COO tensor sorted by their coordinates in one CSF
+/// level order (root first), ties in input order.
+pub struct LevelSort<'a> {
+    coo: &'a CooTensor,
+    mode_order: Vec<usize>,
+    keys: Columns<'a>,
+    sorted: Sorted,
+}
+
+/// Fiber counts read off a [`LevelSort`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FiberCounts {
+    /// Fibers at each level, root to leaf (`levels[d-1]` = distinct
+    /// non-zeros).
+    pub levels: Vec<usize>,
+    /// Algorithm 9: the level-(d−2) fiber count of the order with the
+    /// last two levels swapped.
+    pub swapped: usize,
+}
+
+impl<'a> LevelSort<'a> {
+    /// Sorts `coo`'s non-zeros for `mode_order` (`mode_order[level]` is
+    /// the original mode stored at that level).
+    ///
+    /// # Panics
+    /// Panics if `mode_order` is not a permutation of the tensor's modes.
+    pub fn new(coo: &'a CooTensor, mode_order: &[usize]) -> Self {
+        let d = coo.ndim();
+        assert!(
+            is_permutation(mode_order, d),
+            "mode_order must be a permutation of 0..{d}"
+        );
+        let cols = mode_order
+            .iter()
+            .map(|&m| coo.indices()[m].as_slice())
+            .collect();
+        let dims: Vec<usize> = mode_order.iter().map(|&m| coo.dims()[m]).collect();
+        let keys = Columns::new(cols, &dims);
+        let sorted = keysort::sort(&keys);
+        LevelSort {
+            coo,
+            mode_order: mode_order.to_vec(),
+            keys,
+            sorted,
+        }
+    }
+
+    /// Mode length at each level.
+    pub fn level_dims(&self) -> Vec<usize> {
+        self.mode_order
+            .iter()
+            .map(|&m| self.coo.dims()[m])
+            .collect()
+    }
+
+    /// Fibers per level of the CSF [`Self::build`] would return, and
+    /// Algorithm 9's count for the swapped order, from one scan: the
+    /// distinct `(level-(d−3) node, leaf)` pairs (the whole tensor is one
+    /// node when `d == 2`), counted by [`SwapCounter`].
+    pub fn fiber_counts(&self) -> FiberCounts {
+        let d = self.mode_order.len();
+        let mut swapped = SwapCounter::new(self.level_dims()[d - 1], self.sorted.len());
+        let levels = self.count_levels(|diff, leaf| swapped.visit(diff + 3 <= d, leaf));
+        FiberCounts {
+            levels,
+            swapped: swapped.finish(),
+        }
+    }
+
+    /// Fibers per level, calling `visit(first_differing_level, leaf)` for
+    /// every sorted non-zero.
+    fn count_levels(&self, mut visit: impl FnMut(usize, u64)) -> Vec<usize> {
+        let d = self.mode_order.len();
+        let mut levels = vec![0usize; d];
+        with_cursor!(self.sorted.view(&self.keys), |c| {
+            for i in 0..c.len() {
+                let diff = if i == 0 { 0 } else { c.first_diff(i) };
+                for count in &mut levels[diff..] {
+                    *count += 1;
+                }
+                visit(diff, c.field(i, d - 1));
+            }
+        });
+        levels
+    }
+
+    /// Re-sorts for the order with the last two levels swapped (paper
+    /// §II-E), only inside each level-(d−3) parent's run: the runs'
+    /// order is unchanged.
+    pub fn swap_last_two(&mut self) {
+        let d = self.mode_order.len();
+        self.mode_order.swap(d - 2, d - 1);
+        self.keys.swap_last_two();
+        self.sorted.swap_last_two(&self.keys);
+    }
+
+    /// Builds the CSF: duplicates merge by summing their values in input
+    /// order.
+    pub fn build(&self) -> Csf {
+        let d = self.mode_order.len();
+        let fibers = self.count_levels(|_, _| {});
+        let mut fids: Vec<Vec<u32>> = fibers.iter().map(|&m| Vec::with_capacity(m)).collect();
+        let mut ptr: Vec<Vec<usize>> = fibers[..d - 1]
+            .iter()
+            .map(|&m| Vec::with_capacity(m + 1))
+            .collect();
+        let mut vals: Vec<f64> = Vec::with_capacity(fibers[d - 1]);
+        let coo_vals = self.coo.values();
+        with_cursor!(self.sorted.view(&self.keys), |c| {
+            for i in 0..c.len() {
+                let diff = if i == 0 { 0 } else { c.first_diff(i) };
+                let v = coo_vals[c.src(i)];
+                if diff == d {
+                    *vals.last_mut().expect("a duplicate follows its first copy") += v;
+                    continue;
+                }
+                for l in diff..d {
+                    if l < d - 1 {
+                        ptr[l].push(fids[l + 1].len());
+                    }
+                    fids[l].push(c.field(i, l) as u32);
+                }
+                vals.push(v);
+            }
+        });
+        for l in 0..d - 1 {
+            let sentinel = fids[l + 1].len();
+            ptr[l].push(sentinel);
+        }
+        Csf::from_parts(self.mode_order.clone(), self.level_dims(), fids, ptr, vals)
+    }
+}
+
+/// Algorithm 9's count of distinct `(node, leaf)` pairs, fed the sorted
+/// non-zeros' leaf coordinates node by node. As in the paper, each leaf
+/// coordinate is marked with the node that last saw it; when that
+/// buffer (one word per leaf coordinate) would outsize the non-zeros, as
+/// for a hypersparse leaf mode, each node's leaves are sorted and
+/// counted instead.
+enum SwapCounter {
+    Marked {
+        observed: Vec<usize>,
+        node: usize,
+        count: usize,
+    },
+    Sorted {
+        leaves: Vec<u64>,
+        count: usize,
+    },
+}
+
+impl SwapCounter {
+    fn new(leaf_dim: usize, nnz: usize) -> Self {
+        if leaf_dim <= nnz {
+            SwapCounter::Marked {
+                observed: vec![usize::MAX; leaf_dim],
+                node: 0,
+                count: 0,
+            }
+        } else {
+            SwapCounter::Sorted {
+                leaves: Vec::new(),
+                count: 0,
+            }
+        }
+    }
+
+    /// The next non-zero's leaf coordinate; `new_node` when it starts a
+    /// level-(d−3) node.
+    #[inline]
+    fn visit(&mut self, new_node: bool, leaf: u64) {
+        match self {
+            SwapCounter::Marked {
+                observed,
+                node,
+                count,
+            } => {
+                *node += new_node as usize;
+                let slot = &mut observed[leaf as usize];
+                if *slot != *node {
+                    *slot = *node;
+                    *count += 1;
+                }
+            }
+            SwapCounter::Sorted { leaves, count } => {
+                if new_node {
+                    *count += distinct(leaves);
+                }
+                leaves.push(leaf);
+            }
+        }
+    }
+
+    fn finish(self) -> usize {
+        match self {
+            SwapCounter::Marked { count, .. } => count,
+            SwapCounter::Sorted { mut leaves, count } => count + distinct(&mut leaves),
+        }
+    }
+}
+
+/// Number of distinct values in `xs`, which it empties.
+fn distinct(xs: &mut Vec<u64>) -> usize {
+    xs.sort_unstable();
+    xs.dedup();
+    let n = xs.len();
+    xs.clear();
+    n
+}
 
 /// Builds a CSF for `coo` with the given `mode_order` (root-to-leaf;
 /// `mode_order[level]` is the original mode stored at that level).
 ///
-/// Duplicate coordinates are merged by summing values. The input tensor
-/// is not modified.
+/// Duplicate coordinates are merged by summing their values in input
+/// order, so the result is deterministic. The input tensor is not
+/// modified.
 ///
 /// # Panics
 /// Panics if `mode_order` is not a permutation of the tensor's modes.
 pub fn build_csf(coo: &CooTensor, mode_order: &[usize]) -> Csf {
-    let d = coo.ndim();
-    assert!(
-        is_permutation(mode_order, d),
-        "mode_order must be a permutation of 0..{d}"
-    );
-    let n = coo.nnz();
-    // Column views in level order, so comparisons go root -> leaf.
-    let cols: Vec<&[u32]> = mode_order
-        .iter()
-        .map(|&m| coo.indices()[m].as_slice())
-        .collect();
-
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let cmp = |a: &u32, b: &u32| {
-        let (a, b) = (*a as usize, *b as usize);
-        for col in &cols {
-            match col[a].cmp(&col[b]) {
-                core::cmp::Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        core::cmp::Ordering::Equal
-    };
-    order.sort_unstable_by(cmp);
-
-    // Single scan: emit fibers wherever a prefix changes.
-    let mut fids: Vec<Vec<u32>> = vec![Vec::new(); d];
-    let mut ptr: Vec<Vec<usize>> = vec![Vec::new(); d - 1];
-    let mut vals: Vec<f64> = Vec::with_capacity(n);
-    let mut prev: Option<usize> = None;
-    let coo_vals = coo.values();
-    for &eu in &order {
-        let e = eu as usize;
-        // First level at which this entry differs from the previous one;
-        // d means identical coordinates (duplicate).
-        let diff = match prev {
-            None => 0,
-            Some(p) => {
-                let mut l = 0;
-                while l < d && cols[l][p] == cols[l][e] {
-                    l += 1;
-                }
-                l
-            }
-        };
-        if diff == d {
-            *vals.last_mut().unwrap() += coo_vals[e];
-        } else {
-            for l in diff..d {
-                if l < d - 1 {
-                    ptr[l].push(fids[l + 1].len());
-                }
-                fids[l].push(cols[l][e]);
-            }
-            vals.push(coo_vals[e]);
-        }
-        prev = Some(e);
-    }
-    for l in 0..d - 1 {
-        let sentinel = fids[l + 1].len();
-        ptr[l].push(sentinel);
-    }
-
-    let level_dims: Vec<usize> = mode_order.iter().map(|&m| coo.dims()[m]).collect();
-    Csf::from_parts(mode_order.to_vec(), level_dims, fids, ptr, vals)
+    LevelSort::new(coo, mode_order).build()
 }
 
 /// Builds the CSF in the paper's default order: modes sorted by

@@ -8,6 +8,7 @@
 //! naive: every optimized kernel in the workspace is property-tested
 //! against it.
 
+use crate::keysort::{self, Columns};
 use linalg::Mat;
 
 /// A sparse tensor in coordinate format (struct-of-arrays layout).
@@ -108,21 +109,13 @@ impl CooTensor {
     /// Sorts non-zeros lexicographically by coordinate and merges
     /// duplicates by summing their values. Entries that merge to exactly
     /// 0.0 are kept (matching SPLATT, which treats explicit zeros as
-    /// structural non-zeros).
+    /// structural non-zeros). Duplicates sum in the order
+    /// [`keysort::unstable_argsort`] leaves them, which the generated
+    /// suite tensors' values depend on.
     pub fn sort_dedup(&mut self) {
         let n = self.nnz();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let inds = &self.inds;
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            for col in inds {
-                match col[a].cmp(&col[b]) {
-                    core::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            core::cmp::Ordering::Equal
-        });
+        let keys = Columns::new(self.inds.iter().map(|c| c.as_slice()).collect(), &self.dims);
+        let order = keysort::unstable_argsort(&keys);
         let mut new_inds: Vec<Vec<u32>> = vec![Vec::with_capacity(n); self.ndim()];
         let mut new_vals: Vec<f64> = Vec::with_capacity(n);
         for &eu in &order {

@@ -10,6 +10,15 @@
 
 use crate::permute::is_permutation;
 
+/// [`Csf::memory_bytes`] of a CSF with `fibers[l]` fibers at level `l`
+/// (so `fibers[d-1]` non-zeros), without building it.
+pub fn memory_bytes_for(fibers: &[usize]) -> usize {
+    let d = fibers.len();
+    let fid_bytes: usize = fibers.iter().map(|&m| m * 4).sum();
+    let ptr_bytes: usize = fibers[..d - 1].iter().map(|&m| (m + 1) * 8).sum();
+    fid_bytes + ptr_bytes + fibers[d - 1] * 8
+}
+
 /// A sparse tensor in CSF form, for one fixed mode order.
 #[derive(Clone, Debug)]
 pub struct Csf {
@@ -163,9 +172,7 @@ impl Csf {
     /// 8-byte ptrs, 8-byte values) — the "Size of Tensor" column of the
     /// paper's Table II.
     pub fn memory_bytes(&self) -> usize {
-        let fid_bytes: usize = self.fids.iter().map(|f| f.len() * 4).sum();
-        let ptr_bytes: usize = self.ptr.iter().map(|p| p.len() * 8).sum();
-        fid_bytes + ptr_bytes + self.vals.len() * 8
+        memory_bytes_for(&self.fiber_counts())
     }
 
     /// Leaf (non-zero) range covered by the subtree of node `idx` at

@@ -8,6 +8,10 @@
 //!   that every optimized kernel is tested against;
 //! * [`csf::Csf`] — the Compressed Sparse Fiber tree (paper §II-B), built
 //!   from COO by [`build`] for an arbitrary mode order;
+//! * [`keysort`] — the one stable argsort by packed key that every
+//!   lexicographic layout (CSF, its swapped order and fiber profile, the
+//!   linearized order, Lexi-Order, the HiCOO and ALTO baselines) is
+//!   built from;
 //! * [`stats`] — per-level fiber counts, slice-imbalance metrics and the
 //!   mode-length ordering heuristic that drive the paper's data-movement
 //!   model;
@@ -26,13 +30,14 @@ pub mod coo;
 pub mod csf;
 pub mod io;
 pub mod iter;
+pub mod keysort;
 pub mod linearize;
 pub mod permute;
 pub mod reorder;
 pub mod stats;
 pub mod swapcount;
 
-pub use build::build_csf;
+pub use build::{build_csf, FiberCounts, LevelSort};
 pub use coo::CooTensor;
 pub use csf::Csf;
 pub use io::TnsError;

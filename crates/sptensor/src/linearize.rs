@@ -19,6 +19,8 @@
 //! caller can fall back to CSF.
 
 use crate::coo::CooTensor;
+use crate::keysort::{self, Cursor, Word, WordKeys};
+use crate::with_cursor;
 
 /// Per-mode bit-extraction masks over the (lo, hi) halves of the
 /// linearized index. `mask_lo` covers global bits `0..64`, `mask_hi`
@@ -126,15 +128,39 @@ pub fn index_bits_for(dims: &[usize]) -> u32 {
     dims.iter().map(|&n| mode_bits(n)).sum()
 }
 
+/// Encodes every non-zero's interleaved key in a `W`, sorts the keys
+/// stably ([`keysort`]) and gathers keys and values in that order.
+fn sorted_by_key<W: Word>(t: &CooTensor, positions: &[Vec<u32>], bits: u32) -> (Vec<W>, Vec<f64>) {
+    let mut keys = vec![W::ZERO; t.nnz()];
+    for (col, ps) in t.indices().iter().zip(positions) {
+        for (key, &c) in keys.iter_mut().zip(col) {
+            let mut c = c as u64;
+            for &p in ps {
+                *key = key.or(W::from_u64(c & 1).shl(p));
+                c >>= 1;
+            }
+        }
+    }
+    let keys = WordKeys::new(&keys, bits);
+    let sorted = keysort::sort(&keys);
+    let src_vals = t.values();
+    with_cursor!(sorted.view(&keys), |c| {
+        let lin = (0..c.len()).map(|i| keys.join(|f| c.field(i, f))).collect();
+        let vals = (0..c.len()).map(|i| src_vals[c.src(i)]).collect();
+        (lin, vals)
+    })
+}
+
 impl Linearized {
     /// Builds the sorted linearized form of `t`. Duplicate coordinates,
     /// if present, stay adjacent after the sort and simply sum during
     /// MTTKRP. Fails with the required bit count when the interleaved
     /// index would exceed 128 bits.
     ///
-    /// Construction works entirely in flat reusable buffers: one key
-    /// per non-zero, a `u32` permutation argsorted by key, then a
-    /// gather — no per-nonzero temporaries.
+    /// Construction works in flat buffers: one key per non-zero, in the
+    /// narrowest word that holds it, stably sorted with its index by
+    /// [`crate::keysort`] (so duplicates stay in input order), then one
+    /// gather of keys and values.
     pub fn build(t: &CooTensor) -> Result<Linearized, u32> {
         let d = t.ndim();
         let dims = t.dims().to_vec();
@@ -180,38 +206,12 @@ impl Linearized {
             })
             .collect();
 
-        let nnz = t.nnz();
-        let inds = t.indices();
-        let src_vals = t.values();
-
-        // Encode into u128 (cheap enough for a one-time build pass),
-        // narrow at store time if everything fits in 64 bits.
-        let mut keys: Vec<u128> = vec![0; nnz];
-        for m in 0..d {
-            let ps = &positions[m];
-            let col = &inds[m];
-            for (key, &c) in keys.iter_mut().zip(col) {
-                let mut c = c as u64;
-                for &p in ps {
-                    *key |= ((c & 1) as u128) << p;
-                    c >>= 1;
-                }
-            }
-        }
-
-        // Argsort + gather through flat buffers.
-        let mut perm: Vec<u32> = (0..nnz as u32).collect();
-        perm.sort_unstable_by_key(|&i| keys[i as usize]);
-        let mut vals: Vec<f64> = Vec::with_capacity(nnz);
-        vals.extend(perm.iter().map(|&i| src_vals[i as usize]));
-        let store = if total_bits <= 64 {
-            let mut lin: Vec<u64> = Vec::with_capacity(nnz);
-            lin.extend(perm.iter().map(|&i| keys[i as usize] as u64));
-            LinStore::Narrow(lin)
+        let (store, vals) = if total_bits <= 64 {
+            let (lin, vals) = sorted_by_key::<u64>(t, &positions, total_bits);
+            (LinStore::Narrow(lin), vals)
         } else {
-            let mut lin: Vec<u128> = Vec::with_capacity(nnz);
-            lin.extend(perm.iter().map(|&i| keys[i as usize]));
-            LinStore::Wide(lin)
+            let (lin, vals) = sorted_by_key::<u128>(t, &positions, total_bits);
+            (LinStore::Wide(lin), vals)
         };
 
         Ok(Linearized {

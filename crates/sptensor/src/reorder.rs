@@ -16,6 +16,8 @@
 //! appearance. Indices sharing fiber prefixes thus become contiguous.
 
 use crate::coo::CooTensor;
+use crate::keysort::{self, Columns, Cursor};
+use crate::with_cursor;
 
 /// The per-mode renumberings produced by [`lexi_order`].
 #[derive(Clone, Debug)]
@@ -113,28 +115,24 @@ fn single_mode_renumbering(dims: &[usize], mode: usize, perm: &[u32]) -> ModeRen
 fn renumber_one_mode(t: &CooTensor, mode: usize) -> Vec<u32> {
     let n = t.dims()[mode];
     let d = t.ndim();
-    let mut order: Vec<u32> = (0..t.nnz() as u32).collect();
     let inds = t.indices();
-    let key_modes: Vec<usize> = (0..d).filter(|&m| m != mode).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        for &m in &key_modes {
-            match inds[m][a].cmp(&inds[m][b]) {
-                core::cmp::Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        inds[mode][a].cmp(&inds[mode][b])
-    });
+    let key_modes: Vec<usize> = (0..d).filter(|&m| m != mode).chain([mode]).collect();
+    let keys = Columns::new(
+        key_modes.iter().map(|&m| inds[m].as_slice()).collect(),
+        &key_modes.iter().map(|&m| t.dims()[m]).collect::<Vec<_>>(),
+    );
+    let sorted = keysort::sort(&keys);
     let mut new_id = vec![u32::MAX; n];
     let mut next = 0u32;
-    for &e in &order {
-        let old = inds[mode][e as usize] as usize;
-        if new_id[old] == u32::MAX {
-            new_id[old] = next;
-            next += 1;
+    with_cursor!(sorted.view(&keys), |c| {
+        for i in 0..c.len() {
+            let slot = &mut new_id[c.field(i, d - 1) as usize];
+            if *slot == u32::MAX {
+                *slot = next;
+                next += 1;
+            }
         }
-    }
+    });
     for slot in new_id.iter_mut() {
         if *slot == u32::MAX {
             *slot = next;

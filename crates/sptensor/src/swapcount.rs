@@ -1,10 +1,17 @@
-//! Algorithm 9: fiber counting for the swapped last-two-mode order.
+//! Algorithm 9: fiber counting for the swapped last-two-mode order, on a
+//! built CSF.
 //!
 //! To decide whether the CSF's last two levels should be swapped (paper
 //! §II-E), the data-movement model needs the fiber count profile of the
 //! *swapped* order. Levels `0..d-2` are identical in both orders, the
 //! leaf level is always `nnz`, so only `m_{d-2}` — the number of distinct
 //! `(i_0, …, i_{d-3}, i_{d-1})` prefixes — has to be computed.
+//!
+//! Engine planning no longer needs a CSF for this: it reads the count
+//! from the sorted keys in the same scan as the per-level counts
+//! ([`crate::build::LevelSort::fiber_counts`]). The functions here count
+//! it for callers that already hold a CSF (`stef analyze`, the
+//! benchmark's set-up replay, tests), and must agree with it.
 //!
 //! The paper counts these by streaming non-zeros with a per-thread
 //! `observed[l]` buffer that records the last `(i, j)` prefix seen for
@@ -15,10 +22,9 @@
 //! parallel task keeps its own `observed` buffer storing the *node id*
 //! as the marker, so buffers never need clearing between nodes — the
 //! same trick the paper uses with `(i, j)` pairs. The tasks fan out on
-//! the executor the caller passes in (an engine passes its own worker
-//! pool; [`count_fibers_if_last_two_swapped`] runs them inline); the
-//! per-chunk counts land in disjoint slots and are summed afterwards
-//! (integer sum — order-independent).
+//! the executor the caller passes in ([`count_fibers_if_last_two_swapped`]
+//! runs them inline); the per-chunk counts land in disjoint slots and
+//! are summed afterwards (integer sum — order-independent).
 
 use crate::csf::Csf;
 use linalg::par::{self, Cancelled, Fanout, SharedSlice};

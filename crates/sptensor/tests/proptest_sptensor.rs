@@ -2,10 +2,13 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use stef_sptensor::keysort::bits_for;
 use stef_sptensor::reorder::{lexi_order, mean_index_jump};
+use stef_sptensor::swapcount::count_fibers_swapped_reference;
 use stef_sptensor::{
     build_csf, count_fibers_if_last_two_swapped, inverse_permutation, sort_modes_by_length,
-    CooTensor, TensorStats,
+    CooTensor, Csf, LevelSort, TensorStats,
 };
 
 fn arb_tensor() -> impl Strategy<Value = CooTensor> {
@@ -30,8 +33,137 @@ fn arb_tensor() -> impl Strategy<Value = CooTensor> {
         .prop_filter("non-empty", |t| t.nnz() > 0)
 }
 
+fn lcg(x: &mut u64) -> u64 {
+    *x = x
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *x >> 11
+}
+
+/// Packed key widths (coordinate bits plus index bits) the sort must
+/// cover: a `u64` record, a `u128` record, and the comparison fallback.
+const WIDTH_CLASSES: [&str; 3] = ["<=64", "65-128", ">128"];
+
+/// `n` entries in input order that is neither sorted nor deduplicated:
+/// each mode draws from 3 coordinates, so duplicates are common, and
+/// values of mixed magnitude make a duplicate's sum depend on its order.
+/// Mode lengths put the packed key in `WIDTH_CLASSES[class]`.
+fn keyed_tensor(class: usize, seed: u64, n: usize) -> CooTensor {
+    let mut x = seed | 1;
+    let d = if class == 2 {
+        5
+    } else {
+        3 + (lcg(&mut x) % 2) as usize
+    };
+    let dims: Vec<usize> = (0..d)
+        .map(|_| match class {
+            0 => 2 + (lcg(&mut x) % 300) as usize,
+            1 => (1 << 22) + (lcg(&mut x) % (1 << 22)) as usize,
+            _ => (1 << 30) + (lcg(&mut x) % (1 << 30)) as usize,
+        })
+        .collect();
+    let pools: Vec<[u32; 3]> = dims
+        .iter()
+        .map(|&n| [0, 1, 2].map(|_| (lcg(&mut x) % n as u64) as u32))
+        .collect();
+    let mut t = CooTensor::new(dims);
+    let mut coord = vec![0u32; d];
+    for _ in 0..n {
+        for (c, pool) in coord.iter_mut().zip(&pools) {
+            *c = pool[(lcg(&mut x) % 3) as usize];
+        }
+        let v = (lcg(&mut x) % 1000) as f64 * 10f64.powi((lcg(&mut x) % 9) as i32 - 4) + 0.1;
+        t.push(&coord, v);
+    }
+    t
+}
+
+fn key_bits(t: &CooTensor) -> u32 {
+    t.dims().iter().map(|&n| bits_for(n)).sum::<u32>() + bits_for(t.nnz())
+}
+
+fn random_order(d: usize, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..d).collect();
+    let mut x = seed | 1;
+    for i in (1..d).rev() {
+        order.swap(i, (lcg(&mut x) % (i as u64 + 1)) as usize);
+    }
+    order
+}
+
+/// Distinct coordinates in `order`'s level order, in lexicographic
+/// order, each with its values summed in input order.
+fn oracle(t: &CooTensor, order: &[usize]) -> Vec<(Vec<u32>, u64)> {
+    let mut sums: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+    for e in 0..t.nnz() {
+        let key = order.iter().map(|&m| t.indices()[m][e]).collect();
+        let v = t.values()[e];
+        sums.entry(key).and_modify(|s| *s += v).or_insert(v);
+    }
+    sums.into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+}
+
+fn leaves(csf: &Csf) -> Vec<(Vec<u32>, u64)> {
+    let mut out = Vec::new();
+    csf.for_each_leaf(|c, v| out.push((c.to_vec(), v.to_bits())));
+    out
+}
+
+fn assert_same_csf(a: &Csf, b: &Csf) {
+    assert_eq!(a.mode_order(), b.mode_order());
+    assert_eq!(a.level_dims(), b.level_dims());
+    for l in 0..a.ndim() {
+        assert_eq!(a.fids(l), b.fids(l), "fids at level {l}");
+    }
+    for l in 0..a.ndim() - 1 {
+        assert_eq!(a.ptr(l), b.ptr(l), "ptr at level {l}");
+    }
+    let bits = |c: &Csf| c.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn build_csf_equals_a_btreemap_oracle_at_every_key_width(
+        class in 0usize..3, seed in any::<u64>(), n in 1usize..=300, order_seed in any::<u64>()
+    ) {
+        let t = keyed_tensor(class, seed, n);
+        let bits = key_bits(&t);
+        let in_class = match class { 0 => bits <= 64, 1 => (65..=128).contains(&bits), _ => bits > 128 };
+        prop_assert!(in_class, "{} key bits outside {}", bits, WIDTH_CLASSES[class]);
+        let order = random_order(t.ndim(), order_seed);
+        let csf = build_csf(&t, &order);
+        prop_assert_eq!(leaves(&csf), oracle(&t, &order));
+    }
+
+    #[test]
+    fn swapped_rebuild_equals_build_csf_in_the_swapped_order(
+        class in 0usize..3, seed in any::<u64>(), n in 1usize..=300, order_seed in any::<u64>()
+    ) {
+        let t = keyed_tensor(class, seed, n);
+        let order = random_order(t.ndim(), order_seed);
+        let mut levels = LevelSort::new(&t, &order);
+        levels.swap_last_two();
+        let mut swapped = order.clone();
+        let d = swapped.len();
+        swapped.swap(d - 2, d - 1);
+        assert_same_csf(&levels.build(), &build_csf(&t, &swapped));
+    }
+
+    #[test]
+    fn fiber_counts_from_the_keys_match_the_built_csf(
+        class in 0usize..3, seed in any::<u64>(), n in 1usize..=300, order_seed in any::<u64>()
+    ) {
+        let t = keyed_tensor(class, seed, n);
+        let order = random_order(t.ndim(), order_seed);
+        let counts = LevelSort::new(&t, &order).fiber_counts();
+        prop_assert_eq!(&counts.levels, &build_csf(&t, &order).fiber_counts());
+        // The swapped CSF itself: `count_fibers_if_last_two_swapped`'s
+        // marker buffer is as long as the leaf mode (2^30 here).
+        prop_assert_eq!(counts.swapped, count_fibers_swapped_reference(&t, &order));
+    }
 
     #[test]
     fn csf_preserves_value_sum_any_order(t in arb_tensor()) {

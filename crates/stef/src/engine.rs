@@ -15,9 +15,8 @@ use crate::runtime::{Executor, RuntimeCounters};
 use crate::schedule::Schedule;
 use crate::telemetry::ModeStats;
 use crate::workspace::Workspace;
-use linalg::par::Fanout;
 use linalg::Mat;
-use sptensor::{build_csf, inverse_permutation, sort_modes_by_length, CooTensor, Csf};
+use sptensor::{inverse_permutation, sort_modes_by_length, CooTensor, Csf, LevelSort};
 
 /// Anything that can compute MTTKRPs for every mode of a fixed tensor.
 ///
@@ -157,12 +156,13 @@ impl<E: MttkrpEngine + ?Sized> MttkrpEngine for Box<E> {
 /// Every choice goes through one preparation path: the input is checked
 /// once and one [`Executor`] created, which the built engine owns.
 /// `Alto` then linearizes. `Csf` and `Auto` first plan the CSF engine
-/// from §IV-C level profiles alone: the CSF in mode-length order,
-/// Algorithm 9's swapped profile, the memo set, the accumulation and
-/// the memory-budget fit. `Auto` compares that plan's
-/// predicted traffic with [`crate::model::AltoProfile`]'s price of the
-/// linearized layout and builds whichever moves less data; when ALTO
-/// wins, no swapped CSF, schedule, partial store or CSF workspace is
+/// from §IV-C level profiles alone: one sort of the non-zeros in
+/// mode-length order ([`LevelSort`]) and one scan of it give both
+/// orders' fiber counts (Algorithm 9's included), then the memo set,
+/// the accumulation and the memory-budget fit. `Auto` compares that
+/// plan's predicted traffic with [`crate::model::AltoProfile`]'s price
+/// of the linearized layout and builds whichever moves less data; when
+/// ALTO wins, no CSF, schedule, partial store or CSF workspace is
 /// built. Tensors whose interleaved index would exceed 128 bits are
 /// never eligible for the linearized engine — `Auto` silently keeps CSF
 /// for them.
@@ -175,7 +175,7 @@ pub fn build_engine(
     if opts.engine == EngineChoice::Alto {
         return Ok(Box::new(AltoEngine::build(coo, opts, exec)?));
     }
-    let plan = CsfPlan::new(coo, &opts, &exec)?;
+    let plan = CsfPlan::new(coo, &opts)?;
     if opts.engine == EngineChoice::Auto {
         let alto_wins = sptensor::index_bits_for(coo.dims()) <= 128
             && AltoProfile::new(coo.dims(), coo.nnz(), opts.rank, opts.cache_bytes).total_traffic()
@@ -219,9 +219,8 @@ fn over_budget(budget: usize) -> impl Fn(usize) -> crate::StefError {
 }
 
 /// The first step of every engine's preparation: checks the input and
-/// creates the executor the engine will own. The pool exists before
-/// planning so Algorithm 9's swap count runs on it; the engine installs
-/// the cancel token once preparation is done.
+/// creates the executor the engine will own; the engine installs the
+/// cancel token once preparation is done.
 pub(crate) fn prepare_input(
     coo: &CooTensor,
     opts: &StefOptions,
@@ -316,12 +315,15 @@ impl Accumulation {
 }
 
 /// The CSF engine's preparation decision (paper §IV-B/C, Algorithm 9),
-/// made from level profiles alone: the only structure it builds is the
-/// CSF in mode-length order, from which Algorithm 9 counts the swapped
-/// order's fibers.
-pub(crate) struct CsfPlan {
-    /// The CSF in mode-length order.
-    pub(crate) base_csf: Csf,
+/// made from level profiles alone. Its only structure is the non-zeros
+/// sorted in mode-length order: one scan of them counts the fibers of
+/// both orders, and the CSF is built from them only if the CSF engine is
+/// picked.
+pub(crate) struct CsfPlan<'a> {
+    /// The non-zeros sorted in mode-length order.
+    levels: LevelSort<'a>,
+    /// Bytes of the CSF in mode-length order.
+    pub(crate) csf_bytes: usize,
     /// Level profile of the chosen order.
     pub(crate) profile: LevelProfile,
     /// The chosen order, save set and predictions, after the budget fit.
@@ -329,28 +331,26 @@ pub(crate) struct CsfPlan {
     accum: Accumulation,
 }
 
-impl CsfPlan {
-    /// Plans the CSF engine for `coo` (already checked), counting
-    /// Algorithm 9's swap on `exec`.
-    pub(crate) fn new(
-        coo: &CooTensor,
-        opts: &StefOptions,
-        exec: &dyn Fanout,
-    ) -> Result<Self, crate::StefError> {
+impl<'a> CsfPlan<'a> {
+    /// Plans the CSF engine for `coo` (already checked).
+    pub(crate) fn new(coo: &'a CooTensor, opts: &StefOptions) -> Result<Self, crate::StefError> {
         let d = coo.ndim();
-        let base_csf = build_csf(coo, &sort_modes_by_length(coo.dims()));
-        let base = LevelProfile::from_csf(&base_csf, opts.rank, opts.cache_bytes);
-        let swapped = || {
-            LevelProfile::swapped_from_csf_on(exec, &base_csf, opts.rank, opts.cache_bytes)
-                .expect("the cancel token is installed after preparation")
-        };
+        let levels = LevelSort::new(coo, &sort_modes_by_length(coo.dims()));
+        let counts = levels.fiber_counts();
+        let csf_bytes = sptensor::csf::memory_bytes_for(&counts.levels);
+        let base = LevelProfile::new(
+            levels.level_dims(),
+            counts.levels,
+            opts.rank,
+            opts.cache_bytes,
+        );
+        let swapped = base.swapped(counts.swapped);
 
         // --- order decision (§II-E + §IV-B) ---
         let (swap, profile, predicted_other_order) = match opts.mode_switch {
             ModeSwitchPolicy::Never => (false, base, f64::NAN),
-            ModeSwitchPolicy::Always => (true, swapped(), f64::NAN),
+            ModeSwitchPolicy::Always => (true, swapped, f64::NAN),
             policy => {
-                let swapped = swapped();
                 let model = choose_plan(&base, &swapped);
                 let swap = model.swap_last_two != (policy == ModeSwitchPolicy::OppositeOfModel);
                 // The best traffic of the order not taken.
@@ -385,7 +385,8 @@ impl CsfPlan {
             predicted_other_order,
         };
         Ok(CsfPlan {
-            base_csf,
+            levels,
+            csf_bytes,
             profile,
             plan,
             accum,
@@ -451,7 +452,7 @@ impl Stef {
     /// [`crate::error::StefError`] instead of panicking.
     pub fn try_prepare(coo: &CooTensor, opts: StefOptions) -> Result<Self, crate::StefError> {
         let exec = prepare_input(coo, &opts)?;
-        let plan = CsfPlan::new(coo, &opts, &exec)?;
+        let plan = CsfPlan::new(coo, &opts)?;
         Stef::build(coo, opts, plan, exec)
     }
 
@@ -460,22 +461,19 @@ impl Stef {
     /// the schedule's logical threads). Install the run's cancel token
     /// on `exec` after preparation, as the engine does with
     /// `StefOptions::cancel`.
-    ///
-    /// # Panics
-    /// Panics if a token already on `exec` fires during Algorithm 9's
-    /// swap count.
     pub fn try_prepare_on(
         coo: &CooTensor,
         opts: StefOptions,
         exec: &Executor,
     ) -> Result<Self, crate::StefError> {
         check_input(coo, opts.rank)?;
-        let plan = CsfPlan::new(coo, &opts, exec)?;
+        let plan = CsfPlan::new(coo, &opts)?;
         Stef::build(coo, opts, plan, exec.clone())
     }
 
     /// Builds what `planned` decided, on `exec`: the CSF in the chosen
-    /// order (rebuilt only when the plan swaps the last two levels), the
+    /// order (when the plan swaps the last two levels, the sorted
+    /// non-zeros are re-sorted only inside each level-(d−3) parent), the
     /// schedule, the partial store and the workspace.
     fn build(
         coo: &CooTensor,
@@ -485,14 +483,12 @@ impl Stef {
     ) -> Result<Self, crate::StefError> {
         let (d, nthreads) = (coo.ndim(), opts.threads());
         let (plan, profile, accum) = (planned.plan, planned.profile, planned.accum);
-        let csf = if plan.swap_last_two {
-            let mut order = planned.base_csf.mode_order().to_vec();
-            order.swap(d - 1, d - 2);
-            drop(planned.base_csf);
-            build_csf(coo, &order)
-        } else {
-            planned.base_csf
-        };
+        let mut levels = planned.levels;
+        if plan.swap_last_two {
+            levels.swap_last_two();
+        }
+        let csf = levels.build();
+        drop(levels);
         let sched = Schedule::build(&csf, nthreads, opts.load_balance);
         let partials = if plan.save.iter().any(|&s| s) {
             PartialStore::try_allocate(&csf, &plan.save, nthreads, opts.rank)

@@ -29,8 +29,7 @@
 //! for levels `i+1..=k`. This keeps the model's units coherent without
 //! changing any qualitative decision.
 
-use linalg::par::{self, Cancelled, Fanout};
-use sptensor::{count_fibers_if_last_two_swapped_on, Csf};
+use sptensor::{count_fibers_if_last_two_swapped, Csf};
 
 /// The per-level quantities the model consumes, for one mode order.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,47 +45,37 @@ pub struct LevelProfile {
 }
 
 impl LevelProfile {
-    /// Reads the profile off a built CSF.
-    pub fn from_csf(csf: &Csf, rank: usize, cache_bytes: usize) -> Self {
+    /// The profile of a CSF with `fibers[l]` fibers at the level of
+    /// length `dims[l]`.
+    pub fn new(dims: Vec<usize>, fibers: Vec<usize>, rank: usize, cache_bytes: usize) -> Self {
         LevelProfile {
-            dims: csf.level_dims().to_vec(),
-            fibers: csf.fiber_counts(),
-            rank,
-            cache_elems: cache_bytes / std::mem::size_of::<f64>(),
-        }
-    }
-
-    /// The profile the CSF *would* have with its last two levels swapped,
-    /// computed via Algorithm 9 without building that CSF: levels
-    /// `0..d-2` are unchanged, `m_{d-2}` comes from the swap counter and
-    /// the leaf count is `nnz`. Counts inline; see
-    /// [`LevelProfile::swapped_from_csf_on`].
-    pub fn swapped_from_csf(csf: &Csf, rank: usize, cache_bytes: usize) -> Self {
-        par::inline(Self::swapped_from_csf_on(&par::Inline, csf, rank, cache_bytes))
-    }
-
-    /// [`LevelProfile::swapped_from_csf`] with the swap count fanned out
-    /// on `exec`.
-    pub fn swapped_from_csf_on(
-        exec: &dyn Fanout,
-        csf: &Csf,
-        rank: usize,
-        cache_bytes: usize,
-    ) -> Result<Self, Cancelled> {
-        let d = csf.ndim();
-        let mut dims = csf.level_dims().to_vec();
-        dims.swap(d - 1, d - 2);
-        let mut fibers = csf.fiber_counts();
-        if d >= 2 {
-            fibers[d - 2] = count_fibers_if_last_two_swapped_on(exec, csf)?;
-            fibers[d - 1] = csf.nnz();
-        }
-        Ok(LevelProfile {
             dims,
             fibers,
             rank,
             cache_elems: cache_bytes / std::mem::size_of::<f64>(),
-        })
+        }
+    }
+
+    /// Reads the profile off a built CSF.
+    pub fn from_csf(csf: &Csf, rank: usize, cache_bytes: usize) -> Self {
+        Self::new(csf.level_dims().to_vec(), csf.fiber_counts(), rank, cache_bytes)
+    }
+
+    /// The profile of the same tensor with the last two levels swapped:
+    /// levels `0..d-2` are unchanged, `m_{d-2}` is Algorithm 9's
+    /// `swapped_fibers` and the leaf count stays `nnz`.
+    pub fn swapped(&self, swapped_fibers: usize) -> Self {
+        let d = self.d();
+        let mut out = self.clone();
+        out.dims.swap(d - 1, d - 2);
+        out.fibers[d - 2] = swapped_fibers;
+        out
+    }
+
+    /// The profile the CSF *would* have with its last two levels swapped,
+    /// computed via Algorithm 9 without building that CSF.
+    pub fn swapped_from_csf(csf: &Csf, rank: usize, cache_bytes: usize) -> Self {
+        Self::from_csf(csf, rank, cache_bytes).swapped(count_fibers_if_last_two_swapped(csf))
     }
 
     fn d(&self) -> usize {

@@ -42,7 +42,6 @@ use crate::options::StefOptions;
 use crate::runtime::CancelToken;
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
 use crate::workspace::Workspace;
-use linalg::par::Inline;
 use sptensor::CooTensor;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -225,21 +224,21 @@ pub struct JobPrice {
 }
 
 /// Prices a job with the §IV-C model by running the CSF engine's own
-/// planner inline: the CSF in mode-length order, Algorithm 9's swap
-/// count, and the order and memo set [`crate::Stef::try_prepare`] would
-/// choose at `nthreads` threads. `traffic` is that plan's prediction.
-/// The CSF bytes are those of the mode-length order; a swapped order
-/// differs only in its level-(d−2) fiber count. The CSF is dropped
-/// before returning — pricing borrows memory only transiently. Input
-/// every engine rejects is priced at zero: its attempt fails at build
-/// with a terminal input error.
+/// planner inline: the non-zeros sorted in mode-length order, their
+/// fiber counts and Algorithm 9's swap count, and the order and memo set
+/// [`crate::Stef::try_prepare`] would choose at `nthreads` threads.
+/// `traffic` is that plan's prediction. The CSF bytes are those of the
+/// mode-length order, counted without building it; a swapped order
+/// differs only in its level-(d−2) fiber count. The sorted keys are
+/// dropped before returning — pricing borrows memory only transiently.
+/// Input every engine rejects is priced at zero: its attempt fails at
+/// build with a terminal input error.
 pub fn price_job(tensor: &CooTensor, rank: usize, nthreads: usize, cache_bytes: usize) -> JobPrice {
     let nthreads = nthreads.max(1);
     let mut opts = StefOptions::new(rank);
     opts.num_threads = nthreads;
     opts.cache_bytes = cache_bytes;
-    let Ok(plan) = check_input(tensor, rank).and_then(|()| CsfPlan::new(tensor, &opts, &Inline))
-    else {
+    let Ok(plan) = check_input(tensor, rank).and_then(|()| CsfPlan::new(tensor, &opts)) else {
         return JobPrice::default();
     };
     let profile = &plan.profile;
@@ -252,7 +251,7 @@ pub fn price_job(tensor: &CooTensor, rank: usize, nthreads: usize, cache_bytes: 
     let mem = Workspace::fixed_bytes(d, rank, nthreads)
         + partials
         + priv_pool_bytes(profile, &consumers, nthreads)
-        + plan.base_csf.memory_bytes()
+        + plan.csf_bytes
         + profile.factor_bytes();
     JobPrice {
         mem_bytes: mem as u64,

@@ -3,7 +3,9 @@
 //! the suite itself must keep the structural properties the evaluation
 //! depends on.
 
-use sptensor::{build_csf, sort_modes_by_length, CooTensor, TensorStats};
+use sptensor::{
+    build_csf, sort_modes_by_length, CooTensor, Csf, LevelSort, Linearized, TensorStats,
+};
 use stef::model::{best_memo_set, choose_plan, AltoProfile};
 use stef::{
     build_engine, EngineChoice, LevelProfile, MemoPlan, MemoPolicy, ModeSwitchPolicy, Stef,
@@ -247,5 +249,141 @@ fn one_planner_keeps_every_auto_and_order_decision() {
             let got = Stef::try_prepare(t, o).unwrap().plan().clone();
             assert_same_plan(&got, &want, &format!("{name} {policy:?}"));
         }
+    }
+}
+
+/// The 16 Tiny suite tensors and freebase_music Small.
+fn suite_and_freebase_small() -> Vec<(String, CooTensor)> {
+    let mut tensors: Vec<(String, CooTensor)> = workloads::paper_suite()
+        .iter()
+        .map(|spec| {
+            (
+                format!("{}@tiny", spec.name),
+                spec.generate(SuiteScale::Tiny),
+            )
+        })
+        .collect();
+    tensors.push((
+        "freebase_music@small".into(),
+        suite_tensor("freebase_music", SuiteScale::Small).unwrap(),
+    ));
+    tensors
+}
+
+/// `t`'s non-zeros in a seeded Fisher–Yates order.
+fn shuffled(t: &CooTensor, seed: u64) -> CooTensor {
+    let mut perm: Vec<usize> = (0..t.nnz()).collect();
+    let mut x = seed | 1;
+    for i in (1..perm.len()).rev() {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        perm.swap(i, ((x >> 33) % (i as u64 + 1)) as usize);
+    }
+    let mut out = CooTensor::new(t.dims().to_vec());
+    for e in perm {
+        out.push(&t.coord(e), t.values()[e]);
+    }
+    out
+}
+
+#[test]
+fn fiber_profile_from_the_sorted_keys_matches_the_built_csf() {
+    // The planner reads both orders' fiber counts off the sorted keys;
+    // they must be the counts of the CSF it would otherwise have built,
+    // and Algorithm 9's count on that CSF.
+    let (rank, cache) = (16, StefOptions::new(16).cache_bytes);
+    let tensors = suite_and_freebase_small();
+    assert_eq!(tensors.len(), 17);
+    for (name, t) in &tensors {
+        let order = sort_modes_by_length(t.dims());
+        let counts = LevelSort::new(t, &order).fiber_counts();
+        let base = LevelProfile::new(
+            order.iter().map(|&m| t.dims()[m]).collect(),
+            counts.levels,
+            rank,
+            cache,
+        );
+        let csf = build_csf(t, &order);
+        assert_eq!(base, LevelProfile::from_csf(&csf, rank, cache), "{name}");
+        assert_eq!(
+            base.swapped(counts.swapped),
+            LevelProfile::swapped_from_csf(&csf, rank, cache),
+            "{name}: swapped"
+        );
+    }
+}
+
+fn same_csf(a: &Csf, b: &Csf) -> bool {
+    let bits = |c: &Csf| c.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    a.mode_order() == b.mode_order()
+        && (0..a.ndim()).all(|l| a.fids(l) == b.fids(l))
+        && (0..a.ndim() - 1).all(|l| a.ptr(l) == b.ptr(l))
+        && bits(a) == bits(b)
+}
+
+#[test]
+fn suite_csfs_do_not_depend_on_input_order() {
+    // Suite tensors hold no duplicates, so each has one sorted order:
+    // the CSF (and its swapped rebuild) of a shuffled copy is bitwise
+    // the CSF of the tensor as generated.
+    for (name, t) in suite_and_freebase_small() {
+        let order = sort_modes_by_length(t.dims());
+        let mut swapped_order = order.clone();
+        let d = order.len();
+        swapped_order.swap(d - 2, d - 1);
+        let s = shuffled(&t, 7);
+        assert!(
+            same_csf(&build_csf(&t, &order), &build_csf(&s, &order)),
+            "{name}"
+        );
+        let mut levels = LevelSort::new(&s, &order);
+        levels.swap_last_two();
+        assert!(
+            same_csf(&levels.build(), &build_csf(&t, &swapped_order)),
+            "{name}: swapped"
+        );
+    }
+}
+
+#[test]
+fn linearized_order_is_the_unique_key_order_on_every_tiny_suite_tensor() {
+    // With no duplicates there is exactly one order of strictly
+    // increasing interleaved keys; `Linearized::build` must produce it,
+    // carrying each non-zero's value, from any input order.
+    for spec in workloads::paper_suite() {
+        let t = spec.generate(SuiteScale::Tiny);
+        let Ok(lin) = Linearized::build(&t) else {
+            continue;
+        };
+        let keys: Vec<u128> = match (lin.narrow(), lin.wide()) {
+            (Some(k), _) => k.iter().map(|&k| k as u128).collect(),
+            (_, Some(k)) => k.to_vec(),
+            _ => unreachable!("a built index is narrow or wide"),
+        };
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "{}: keys not strictly increasing",
+            spec.name
+        );
+        let mut want: Vec<(Vec<u32>, u64)> = (0..t.nnz())
+            .map(|e| (t.coord(e), t.values()[e].to_bits()))
+            .collect();
+        let mut got: Vec<(Vec<u32>, u64)> = (0..lin.nnz())
+            .map(|e| {
+                (
+                    (0..t.ndim()).map(|m| lin.decode(e, m)).collect(),
+                    lin.vals()[e].to_bits(),
+                )
+            })
+            .collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "{}", spec.name);
+        let again = Linearized::build(&shuffled(&t, 11)).unwrap();
+        assert_eq!(again.narrow(), lin.narrow(), "{}: shuffled keys", spec.name);
+        assert_eq!(again.wide(), lin.wide(), "{}: shuffled keys", spec.name);
+        let bits = |l: &Linearized| l.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again), bits(&lin), "{}: shuffled values", spec.name);
     }
 }
